@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race soak soak-obs soak-par soak-cmp soak-serve api apicheck check fuzz clean bench bench-check
+.PHONY: build test vet race soak soak-obs soak-par soak-cmp soak-serve api apicheck check fuzz clean bench bench-check bench-test
 
 build:
 	$(GO) build ./...
@@ -92,8 +92,15 @@ apicheck: build
 		exit 1; \
 	fi
 
+# The end-to-end benchmark (bench/, see bench/README.md) is its own Go
+# module, so the root `go test ./...` never reaches its tests: vet and
+# test it here, against the simulator sources of this checkout.
+bench-test:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
+
 # Tier-2: everything above plus the benchmark regression gate.
-check: vet test race soak soak-obs soak-par soak-cmp soak-serve apicheck bench-check
+check: vet test race soak soak-obs soak-par soak-cmp soak-serve apicheck bench-test bench-check
 
 # Benchmark baseline maintenance. `make bench` runs the locked tick
 # benchmarks (per scheme and load point, active-set and full-walk, with

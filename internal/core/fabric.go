@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"powerpunch/internal/mesh"
 	"powerpunch/internal/obs"
@@ -87,6 +88,11 @@ type Fabric struct {
 	inboxAny bool
 	heldList []mesh.NodeID
 
+	// live is the bitset of nodes the next Step visits: those with a
+	// pending target, a local hold or an inbound target. Step swaps it
+	// into stepping and walks that in ascending order.
+	live, stepping []uint64
+
 	// bus, when non-nil, receives punch emit/local/merge/arrive/hold
 	// events.
 	bus *obs.Bus
@@ -119,6 +125,8 @@ func NewFabricOn(rf topo.RoutingFunction, hops int, strict bool, acct *power.Acc
 		outbox:     make([][mesh.NumLinkDirs][]mesh.NodeID, n),
 		hold:       make([]bool, n),
 		strictUsed: make([][mesh.NumLinkDirs]bool, n),
+		live:       make([]uint64, (n+63)/64),
+		stepping:   make([]uint64, (n+63)/64),
 	}
 	// The per-node target lists are recycled ([:0]) every cycle and
 	// their occupancy is bounded by the local reach set, so a small
@@ -212,6 +220,7 @@ func (f *Fabric) EmitSource(cur, dst mesh.NodeID) {
 	}
 	f.stats.SourceEmissions++
 	f.pending[cur] = appendUnique(f.pending[cur], t)
+	f.markLive(cur)
 	f.emitted = true
 	if f.bus != nil {
 		f.bus.Emit(obs.Event{Kind: obs.KindPunchEmit, Node: int32(cur),
@@ -226,6 +235,7 @@ func (f *Fabric) EmitSource(cur, dst mesh.NodeID) {
 // message per cycle.
 func (f *Fabric) EmitLocal(src, dst mesh.NodeID) {
 	f.localHold[src] = true
+	f.markLive(src)
 	f.emitted = true
 	if f.bus != nil {
 		f.bus.Emit(obs.Event{Kind: obs.KindPunchLocal, Node: int32(src)})
@@ -240,100 +250,122 @@ func (f *Fabric) EmitLocal(src, dst mesh.NodeID) {
 // the destination is not yet known, so no multi-hop punch can be formed).
 func (f *Fabric) HoldLocal(n mesh.NodeID) {
 	f.localHold[n] = true
+	f.markLive(n)
 	f.emitted = true
 	if f.bus != nil {
 		f.bus.Emit(obs.Event{Kind: obs.KindPunchLocal, Node: int32(n)})
 	}
 }
 
+// markLive adds node n to the set the next Step visits.
+func (f *Fabric) markLive(n mesh.NodeID) { f.live[n>>6] |= 1 << (n & 63) }
+
 // Step processes one cycle: computes each router's hold level from the
 // punches arriving or asserted there, relays surviving targets one link
 // toward their targets, and prepares the next cycle's inboxes. Call
 // exactly once per simulation cycle after all Emit* calls.
+//
+// Only live nodes are visited, in ascending order: a node with no local
+// hold, pending or inbound target has no hold, relays nothing and owns
+// no outbox, so the full walk's work for it is a no-op. Holds are reset
+// through the previous heldList rather than for every node.
 func (f *Fabric) Step() {
-	n := f.t.NumNodes()
+	for _, id := range f.heldList {
+		f.hold[id] = false
+	}
 	f.heldList = f.heldList[:0]
-	for node := 0; node < n; node++ {
-		id := mesh.NodeID(node)
-		hold := f.localHold[node] || len(f.pending[node]) > 0 || len(f.inbox[node]) > 0
-		if hold {
-			f.heldList = append(f.heldList, id)
-		}
-
-		// Union of transiting (inbox) and newly-asserted (pending)
-		// targets; relay everything not addressed to this router.
-		relay := func(targets []mesh.NodeID, isRelay bool) {
-			for _, t := range targets {
-				if t == id {
-					// Absorbed: this router is the target.
-					if isRelay && f.bus != nil {
-						f.bus.Emit(obs.Event{Kind: obs.KindPunchArrive, Node: int32(id)})
-					}
-					continue
-				}
-				d := topo.MustRoute(f.rf, id, t)
-				di := dirIndex(d)
-				before := len(f.outbox[node][di])
-				f.outbox[node][di] = appendUnique(f.outbox[node][di], t)
-				if isRelay && len(f.outbox[node][di]) > before {
-					f.stats.RelayedTargets++
-				}
-				if f.bus != nil && before > 0 && len(f.outbox[node][di]) > before {
-					// The channel register already carried a target: this
-					// is a Table-1 merge.
-					f.bus.Emit(obs.Event{Kind: obs.KindPunchMerge, Node: int32(id),
-						Dir: int8(mesh.LinkDirections[di]), Dst: int32(t)})
-				}
+	f.live, f.stepping = f.stepping, f.live
+	for w, word := range f.stepping {
+		for ; word != 0; word &= word - 1 {
+			node := w<<6 + bits.TrailingZeros64(word)
+			id := mesh.NodeID(node)
+			hold := f.localHold[node] || len(f.pending[node]) > 0 || len(f.inbox[node]) > 0
+			if hold {
+				f.heldList = append(f.heldList, id)
 			}
-		}
-		if !f.faultDropRelays {
-			relay(f.inbox[node], true)
-		}
-		relay(f.pending[node], false)
 
-		f.hold[node] = hold
-		if hold && f.bus != nil {
-			f.bus.Emit(obs.Event{Kind: obs.KindPunchHold, Node: int32(id)})
+			// Union of transiting (inbox) and newly-asserted (pending)
+			// targets; relay everything not addressed to this router.
+			if !f.faultDropRelays {
+				f.relay(id, f.inbox[node], true)
+			}
+			f.inbox[node] = f.inbox[node][:0] // refilled by the delivery below
+			f.relay(id, f.pending[node], false)
+
+			f.hold[node] = hold
+			if hold && f.bus != nil {
+				f.bus.Emit(obs.Event{Kind: obs.KindPunchHold, Node: int32(id)})
+			}
 		}
 	}
 
 	// Deliver: outboxes become neighbours' inboxes for the next cycle.
-	for node := 0; node < n; node++ {
-		f.inbox[node] = f.inbox[node][:0]
-	}
+	// Only live nodes own a non-empty outbox.
 	f.inboxAny = false
-	for node := 0; node < n; node++ {
-		id := mesh.NodeID(node)
-		for di := 0; di < mesh.NumLinkDirs; di++ {
-			out := f.outbox[node][di]
-			if len(out) == 0 {
-				continue
-			}
-			f.stats.ChannelCycles++
-			if f.acct != nil {
-				f.acct.PunchHop(node)
-			}
-			if f.verify {
-				f.checkEncodable(node, di, out)
-			}
-			nb := f.t.Neighbor(id, mesh.LinkDirections[di])
-			if nb == mesh.Invalid {
-				// A target beyond a fabric edge is impossible under minimal
-				// routing toward a valid node; drop defensively.
+	for w, word := range f.stepping {
+		for ; word != 0; word &= word - 1 {
+			node := w<<6 + bits.TrailingZeros64(word)
+			for di := 0; di < mesh.NumLinkDirs; di++ {
+				out := f.outbox[node][di]
+				if len(out) == 0 {
+					continue
+				}
+				f.stats.ChannelCycles++
+				if f.acct != nil {
+					f.acct.PunchHop(node)
+				}
+				if f.verify {
+					f.checkEncodable(node, di, out)
+				}
+				nb := f.t.Neighbor(mesh.NodeID(node), mesh.LinkDirections[di])
+				if nb == mesh.Invalid {
+					// A target beyond a fabric edge is impossible under minimal
+					// routing toward a valid node; drop defensively.
+					f.outbox[node][di] = out[:0]
+					continue
+				}
+				for _, t := range out {
+					f.inbox[nb] = appendUnique(f.inbox[nb], t)
+				}
+				f.markLive(nb)
+				f.inboxAny = true
 				f.outbox[node][di] = out[:0]
-				continue
 			}
-			for _, t := range out {
-				f.inbox[nb] = appendUnique(f.inbox[nb], t)
-			}
-			f.inboxAny = true
-			f.outbox[node][di] = out[:0]
+			f.pending[node] = f.pending[node][:0]
+			f.localHold[node] = false
+			f.strictUsed[node] = [mesh.NumLinkDirs]bool{}
 		}
-		f.pending[node] = f.pending[node][:0]
-		f.localHold[node] = false
-		f.strictUsed[node] = [mesh.NumLinkDirs]bool{}
 	}
+	clear(f.stepping)
 	f.emitted = false
+}
+
+// relay routes every target in targets that is not addressed to id one
+// link onward, into id's outbox; isRelay marks inbound (transiting)
+// targets as opposed to ones asserted at id this cycle.
+func (f *Fabric) relay(id mesh.NodeID, targets []mesh.NodeID, isRelay bool) {
+	for _, t := range targets {
+		if t == id {
+			// Absorbed: this router is the target.
+			if isRelay && f.bus != nil {
+				f.bus.Emit(obs.Event{Kind: obs.KindPunchArrive, Node: int32(id)})
+			}
+			continue
+		}
+		di := dirIndex(topo.MustRoute(f.rf, id, t))
+		box := &f.outbox[id][di]
+		before := len(*box)
+		*box = appendUnique(*box, t)
+		if isRelay && len(*box) > before {
+			f.stats.RelayedTargets++
+		}
+		if f.bus != nil && before > 0 && len(*box) > before {
+			// The channel register already carried a target: this
+			// is a Table-1 merge.
+			f.bus.Emit(obs.Event{Kind: obs.KindPunchMerge, Node: int32(id),
+				Dir: int8(mesh.LinkDirections[di]), Dst: int32(t)})
+		}
+	}
 }
 
 // NeedsStep reports whether skipping this cycle's Step would change any
@@ -364,11 +396,12 @@ func (f *Fabric) Hold(n mesh.NodeID) bool { return f.hold[n] }
 // and debugging). The returned slice is owned by the fabric.
 func (f *Fabric) InboxTargets(n mesh.NodeID) []mesh.NodeID { return f.inbox[n] }
 
+// linkDirIndex maps a link direction to its index in mesh.LinkDirections.
+var linkDirIndex = [mesh.NumLinkDirs]int{mesh.North: 0, mesh.South: 1, mesh.East: 2, mesh.West: 3}
+
 func dirIndex(d mesh.Direction) int {
-	for i, ld := range mesh.LinkDirections {
-		if ld == d {
-			return i
-		}
+	if uint(d) < mesh.NumLinkDirs {
+		return linkDirIndex[d]
 	}
 	panic(fmt.Sprintf("core: direction %v is not a link direction", d))
 }

@@ -44,8 +44,11 @@ type FlitInTransit struct {
 // vc is one input virtual channel: a FIFO of flits plus the routing state
 // of the packet currently at its front.
 type vc struct {
+	key   int // arbitration key: index into Router.vcs and the bitsets
 	idx   int // global VC index within the port
 	depth int
+	// credOut is the owning input port's upstream credit pipe.
+	credOut *link.Pipe[Credit]
 
 	buf []*flit.Flit
 	arr []int64 // arrival cycle of each buffered flit
@@ -85,7 +88,6 @@ func (v *vc) pop() *flit.Flit {
 // InputPort is one of the router's five input ports.
 type InputPort struct {
 	dir mesh.Direction
-	vcs []*vc
 	// CreditOut carries freed-slot credits back to the upstream router
 	// (or the local NI for the Local port). Owned by the network.
 	CreditOut *link.Pipe[Credit]
@@ -147,12 +149,21 @@ type Router struct {
 	swRR     [mesh.NumPorts]int
 	trouter  int64
 
-	// occ is a bitset over global VC keys (vcKey) with a bit set exactly
-	// while that input VC buffers at least one flit. The per-cycle router
-	// stages iterate set bits instead of probing every (port, VC)
-	// combination, so stage cost scales with resident packets, not with
-	// the 5 x numVCs buffer geometry.
-	occ []uint64
+	// vcs is the key-indexed VC table: vcs[vcKey(p, i)] is VC i of input
+	// port p, so no stage divides a key back into (port, VC).
+	vcs []vc
+
+	// Bitsets over VC keys. The stages walk the set bits of their ANDs
+	// instead of probing every (port, VC) slot, so stage cost scales with
+	// resident packets, not with the 5 x numVCs buffer geometry. occ: the
+	// VC buffers a flit. routedTo[p]: v.routed && v.outDir == p. vaSet:
+	// v.vaDone. routedTo and vaSet change only next to the vc fields they
+	// mirror (route, allocated, endPacket, bypass admission). cand is
+	// per-stage scratch for the ANDs.
+	occ      []uint64
+	routedTo [mesh.NumPorts][]uint64
+	vaSet    []uint64
+	cand     []uint64
 
 	// forwardHook, when set, is called with the downstream router's ID
 	// whenever a flit is pushed onto a non-Local output link. The
@@ -221,10 +232,32 @@ func New(id mesh.NodeID, rf topo.RoutingFunction, cfg *config.Config, ctrl *pg.C
 		classes: rf.VCClasses(),
 		trouter: int64(cfg.RouterCycles()),
 	}
-	r.occ = make([]uint64, (mesh.NumPorts*numVCs+63)/64)
+	// One allocation for all eight bitsets: on a 64x64 fabric per-set
+	// allocations cost measurable RSS.
+	w := (mesh.NumPorts*numVCs + 63) / 64
+	sets := make([]uint64, 8*w)
+	set := func(i int) []uint64 { return sets[i*w : (i+1)*w : (i+1)*w] }
+	r.occ = set(0)
+	for p := range r.routedTo {
+		r.routedTo[p] = set(1 + p)
+	}
+	r.vaSet, r.cand = set(6), set(7)
 	for p := range r.thruNbr {
 		r.thruNbr[p] = mesh.Invalid
 	}
+	// Buffers are preallocated to the credit-enforced depth so push never
+	// grows them mid-run: on large fabrics the long tail of first-time-full
+	// VCs would otherwise keep the steady-state tick allocating for tens of
+	// thousands of cycles. Each VC's buffer is a capacity-capped window of
+	// one router-wide backing array.
+	perPort := 0
+	for v := 0; v < numVCs; v++ {
+		perPort += cfg.VCDepth(v % cfg.VCsPerVN())
+	}
+	bufs := make([]*flit.Flit, mesh.NumPorts*perPort)
+	arrs := make([]int64, mesh.NumPorts*perPort)
+	r.vcs = make([]vc, mesh.NumPorts*numVCs)
+	off := 0
 	for p := 0; p < mesh.NumPorts; p++ {
 		dir := mesh.Direction(p)
 		ip := &InputPort{
@@ -232,17 +265,14 @@ func New(id mesh.NodeID, rf topo.RoutingFunction, cfg *config.Config, ctrl *pg.C
 			CreditOut: link.NewPipe[Credit](cfg.LinkLatency),
 		}
 		for v := 0; v < numVCs; v++ {
-			// Buffers are preallocated to the credit-enforced depth so
-			// push never grows them mid-run: on large fabrics the long
-			// tail of first-time-full VCs would otherwise keep the
-			// steady-state tick allocating for tens of thousands of
-			// cycles.
 			d := cfg.VCDepth(v % cfg.VCsPerVN())
-			ip.vcs = append(ip.vcs, &vc{
-				idx: v, depth: d,
-				buf: make([]*flit.Flit, 0, d),
-				arr: make([]int64, 0, d),
-			})
+			key := r.vcKey(p, v)
+			r.vcs[key] = vc{
+				key: key, idx: v, depth: d, credOut: ip.CreditOut,
+				buf: bufs[off : off : off+d],
+				arr: arrs[off : off : off+d],
+			}
+			off += d
 		}
 		r.in[p] = ip
 
@@ -290,12 +320,12 @@ func (r *Router) Empty() bool { return r.buffered == 0 }
 // channel vcIdx (the VC the upstream allocator chose). The caller
 // guarantees buffer space (credit-based flow control).
 func (r *Router) ReceiveFlit(d mesh.Direction, vcIdx int, f *flit.Flit, now int64) {
-	v := r.in[d].vcs[vcIdx]
+	v := r.vcAt(int(d), vcIdx)
 	if len(v.buf) >= v.depth {
 		panic(fmt.Sprintf("router %d: VC overflow on %v vc%d (credit protocol violated)", r.ID, d, vcIdx))
 	}
 	v.push(f, now)
-	r.setOcc(r.vcKey(int(d), vcIdx))
+	setBit(r.occ, v.key)
 	r.buffered++
 	if r.acct != nil {
 		r.acct.BufferWrite(int(r.ID))
@@ -306,7 +336,7 @@ func (r *Router) ReceiveFlit(d mesh.Direction, vcIdx int, f *flit.Flit, now int6
 // The NI, which plays the upstream-router role on the Local port, keeps
 // its own credit count; this is for tests and assertions.
 func (r *Router) CanAcceptFlit(d mesh.Direction, vcIdx int) bool {
-	v := r.in[d].vcs[vcIdx]
+	v := r.vcAt(int(d), vcIdx)
 	return len(v.buf) < v.depth
 }
 
@@ -318,35 +348,133 @@ func (r *Router) ReceiveCredit(d mesh.Direction, vcIdx int) {
 // VCOccupancy returns the number of flits buffered in input port d,
 // virtual channel v (used by the network's invariant checks).
 func (r *Router) VCOccupancy(d mesh.Direction, v int) int {
-	return len(r.in[d].vcs[v].buf)
+	return len(r.vcAt(int(d), v).buf)
 }
 
 // vcKey packs (input port, vc index) into a single arbitration key.
 func (r *Router) vcKey(port, vcIdx int) int { return port*r.numVCs + vcIdx }
 
-func (r *Router) setOcc(key int)   { r.occ[key>>6] |= 1 << (key & 63) }
-func (r *Router) clearOcc(key int) { r.occ[key>>6] &^= 1 << (key & 63) }
+// vcAt returns VC vcIdx of input port port.
+func (r *Router) vcAt(port, vcIdx int) *vc { return &r.vcs[r.vcKey(port, vcIdx)] }
 
-// nextOcc returns the smallest occupied VC key >= from, or -1. Keys come
-// back in ascending order, so iterating nextOcc(0), nextOcc(k+1), ...
-// visits occupied VCs in exactly the (port, vc) order the plain nested
-// loops would.
-func (r *Router) nextOcc(from int) int {
+func setBit(s []uint64, key int)   { s[key>>6] |= 1 << (key & 63) }
+func clearBit(s []uint64, key int) { s[key>>6] &^= 1 << (key & 63) }
+
+// and2 sets dst = a & b; and3 sets dst = a & b & c; andNot sets
+// dst = a &^ b. All operands have the router's bitset length. Each
+// returns the OR of the result's words, so a zero result (no candidate
+// VC) skips the walk.
+func and2(dst, a, b []uint64) (nz uint64) {
+	for i := range dst {
+		dst[i] = a[i] & b[i]
+		nz |= dst[i]
+	}
+	return nz
+}
+
+func and3(dst, a, b, c []uint64) (nz uint64) {
+	for i := range dst {
+		dst[i] = a[i] & b[i] & c[i]
+		nz |= dst[i]
+	}
+	return nz
+}
+
+func andNot(dst, a, b []uint64) (nz uint64) {
+	for i := range dst {
+		dst[i] = a[i] &^ b[i]
+		nz |= dst[i]
+	}
+	return nz
+}
+
+// nextSet returns the smallest key >= from set in s, or -1. Keys come
+// back in ascending order, so iterating nextSet(s, 0), nextSet(s, k+1),
+// ... visits the set VCs in exactly the (port, vc) order the plain
+// nested loops would.
+func nextSet(s []uint64, from int) int {
 	w := from >> 6
-	if w >= len(r.occ) {
+	if w >= len(s) {
 		return -1
 	}
-	word := r.occ[w] &^ (1<<(from&63) - 1)
+	word := s[w] &^ (1<<(from&63) - 1)
 	for {
 		if word != 0 {
 			return w<<6 + bits.TrailingZeros64(word)
 		}
 		w++
-		if w >= len(r.occ) {
+		if w >= len(s) {
 			return -1
 		}
-		word = r.occ[w]
+		word = s[w]
 	}
+}
+
+// rrNext walks s in round-robin order from start: given the last key
+// visited (-1 to begin), it returns the next set key in the circular
+// order start, start+1, ..., total-1, 0, ..., start-1, or -1 once the
+// walk has wrapped back to start. It visits exactly the keys the full
+// (start+k)%total probe would accept, in the same order, with the unset
+// slots deleted.
+func rrNext(s []uint64, start, last int) int {
+	from := start
+	if last != -1 {
+		from = last + 1
+	}
+	if last == -1 || last >= start {
+		if k := nextSet(s, from); k != -1 {
+			return k
+		}
+		from = 0
+	}
+	if k := nextSet(s, from); k != -1 && k < start {
+		return k
+	}
+	return -1
+}
+
+// route records the look-ahead route of v's front head (toward d).
+func (r *Router) route(v *vc, d mesh.Direction) {
+	v.outDir = d
+	v.routed = true
+	setBit(r.routedTo[d], v.key)
+}
+
+// allocated records that v holds downstream VC ov.
+func (r *Router) allocated(v *vc, ov int) {
+	v.vaDone = true
+	v.outVC = ov
+	setBit(r.vaSet, v.key)
+}
+
+// endPacket clears v's per-packet state once its tail has left.
+func (r *Router) endPacket(v *vc) {
+	if v.routed {
+		clearBit(r.routedTo[v.outDir], v.key)
+	}
+	clearBit(r.vaSet, v.key)
+	v.routed = false
+	v.vaDone = false
+	v.blockedOnce = false
+}
+
+// popFront removes v's front flit, keeping occ and the flit count in
+// step, and returns it.
+func (r *Router) popFront(v *vc) *flit.Flit {
+	out := v.pop()
+	if v.empty() {
+		clearBit(r.occ, v.key)
+	}
+	r.buffered--
+	return out
+}
+
+// nextRR returns the round-robin pointer value after a grant to key.
+func (r *Router) nextRR(key int) int {
+	if key++; key == len(r.vcs) {
+		return 0
+	}
+	return key
 }
 
 // Step advances the router one cycle: switch traversal first, then VC
@@ -355,14 +483,6 @@ func (r *Router) nextOcc(from int) int {
 // is unpowered — and provably empty, since gating requires emptiness).
 func (r *Router) Step(now int64) {
 	if r.buffered == 0 || !r.Ctrl.IsOn() {
-		return
-	}
-	if r.cfg.FullTick {
-		// Reference mode: the seed's simple probing walks, kept verbatim
-		// so the differential path exercises the original implementation,
-		// not the occupancy-bitset rewrite it validates.
-		r.stepSTRef(now)
-		r.stepVARef(now)
 		return
 	}
 	r.stepST(now)
@@ -374,7 +494,7 @@ func (r *Router) Step(now int64) {
 // an output masked by a gated/waking neighbor it instead accrues the
 // paper's per-packet blocking statistics (Figures 9 and 10).
 func (r *Router) stepST(now int64) {
-	total := mesh.NumPorts * r.numVCs
+	cand := r.cand
 	for p := 0; p < mesh.NumPorts; p++ {
 		op := r.out[p]
 		if op.Blocked {
@@ -385,11 +505,11 @@ func (r *Router) stepST(now int64) {
 			if r.bypassOn {
 				r.stepBypass(p, now)
 			}
-			for key := r.nextOcc(0); key != -1; key = r.nextOcc(key + 1) {
-				v := r.in[key/r.numVCs].vcs[key%r.numVCs]
-				if !v.routed || int(v.outDir) != p {
-					continue
-				}
+			if and2(cand, r.occ, r.routedTo[p]) == 0 {
+				continue
+			}
+			for key := nextSet(cand, 0); key != -1; key = nextSet(cand, key+1) {
+				v := &r.vcs[key]
 				if r.bypassOn && r.wantSuppressed(v) {
 					continue // served by the bypass path, not PG-blocked
 				}
@@ -404,124 +524,20 @@ func (r *Router) stepST(now int64) {
 					pkt.BlockedRouters++
 				}
 				if r.bus != nil {
-					r.emitStall(p, key%r.numVCs, pkt)
+					r.emitStall(p, v.idx, pkt)
 				}
 			}
 			continue
 		}
 
-		// Round-robin over the occupied VCs only, starting at swRR[p] and
-		// wrapping: pass 0 covers [swRR[p], total), pass 1 [0, swRR[p]) —
-		// the same circular order the full (swRR[p]+k)%total probe walks,
-		// with its empty slots deleted.
+		// Switch requests toward p: occupied VCs routed to p that hold a
+		// downstream VC, granted round-robin from swRR[p].
+		if and3(cand, r.occ, r.routedTo[p], r.vaSet) == 0 {
+			continue
+		}
 		start := r.swRR[p]
-	grant:
-		for pass := 0; pass < 2; pass++ {
-			lo, hi := start, total
-			if pass == 1 {
-				lo, hi = 0, start
-			}
-			for key := r.nextOcc(lo); key != -1 && key < hi; key = r.nextOcc(key + 1) {
-				v := r.in[key/r.numVCs].vcs[key%r.numVCs]
-				if !v.routed || int(v.outDir) != p || !v.vaDone {
-					continue
-				}
-				if now-v.frontArrival() < r.trouter {
-					continue // pipeline depth not yet traversed
-				}
-				if op.credits[v.outVC] <= 0 {
-					continue // no downstream buffer space
-				}
-
-				// Grant: traverse the switch and the link.
-				r.swRR[p] = (key + 1) % total
-				out := v.pop()
-				if v.empty() {
-					r.clearOcc(key)
-				}
-				r.buffered--
-				op.credits[v.outVC]--
-				op.FlitOut.Push(FlitInTransit{Flit: out, VC: v.outVC}, now)
-				r.FlitsForwarded++
-				if r.acct != nil {
-					r.acct.Traverse(int(r.ID))
-					if op.dir != mesh.Local {
-						r.acct.LinkHop(int(r.ID))
-					}
-				}
-				if r.forwardHook != nil && op.dir != mesh.Local && op.neighbor != mesh.Invalid {
-					r.forwardHook(op.neighbor)
-				}
-				if r.bus != nil {
-					r.emitGrant(op, out, v.outVC)
-				}
-				// Return the freed slot upstream.
-				r.in[key/r.numVCs].CreditOut.Push(Credit{VC: key % r.numVCs}, now)
-
-				if out.Type.IsTail() {
-					// Release the downstream VC and the per-packet state.
-					op.owner[v.outVC] = -1
-					v.routed = false
-					v.vaDone = false
-					v.blockedOnce = false
-				}
-				break grant // one flit per output port per cycle
-			}
-		}
-	}
-}
-
-// stepSTRef is the reference (Config.FullTick) switch stage: the seed's
-// full probe over every (input port, VC) slot, kept structurally intact
-// so differential runs compare the production bitset scan against the
-// original implementation. The only additions are occ maintenance on pop
-// (ReceiveFlit sets the bit unconditionally) and the forward hook, which
-// is nil under FullTick.
-func (r *Router) stepSTRef(now int64) {
-	total := mesh.NumPorts * r.numVCs
-	for p := 0; p < mesh.NumPorts; p++ {
-		op := r.out[p]
-		if op.Blocked {
-			// Downstream router is gated or waking. Under a bypass
-			// scheme, eligible traffic flies over it first; everything
-			// else accrues the paper's per-packet blocking statistics.
-			if r.bypassOn {
-				r.stepBypassRef(p, now)
-			}
-			for ip := 0; ip < mesh.NumPorts; ip++ {
-				for vi := 0; vi < r.numVCs; vi++ {
-					v := r.in[ip].vcs[vi]
-					if v.empty() || !v.routed || int(v.outDir) != p {
-						continue
-					}
-					if r.bypassOn && r.wantSuppressed(v) {
-						continue // served by the bypass path, not PG-blocked
-					}
-					if now-v.frontArrival() < r.trouter {
-						continue
-					}
-					r.PGStallCycles++
-					pkt := v.front().Packet
-					pkt.WakeupWait++
-					if !v.blockedOnce {
-						v.blockedOnce = true
-						pkt.BlockedRouters++
-					}
-					if r.bus != nil {
-						r.emitStall(p, vi, pkt)
-					}
-				}
-			}
-			continue
-		}
-
-		for k := 0; k < total; k++ {
-			key := (r.swRR[p] + k) % total
-			ip, vi := key/r.numVCs, key%r.numVCs
-			v := r.in[ip].vcs[vi]
-			if v.empty() || !v.routed || int(v.outDir) != p || !v.vaDone {
-				continue
-			}
+		for key := rrNext(cand, start, -1); key != -1; key = rrNext(cand, start, key) {
+			v := &r.vcs[key]
 			if now-v.frontArrival() < r.trouter {
 				continue // pipeline depth not yet traversed
 			}
@@ -530,12 +546,8 @@ func (r *Router) stepSTRef(now int64) {
 			}
 
 			// Grant: traverse the switch and the link.
-			r.swRR[p] = (key + 1) % total
-			out := v.pop()
-			if v.empty() {
-				r.clearOcc(key)
-			}
-			r.buffered--
+			r.swRR[p] = r.nextRR(key)
+			out := r.popFront(v)
 			op.credits[v.outVC]--
 			op.FlitOut.Push(FlitInTransit{Flit: out, VC: v.outVC}, now)
 			r.FlitsForwarded++
@@ -552,14 +564,12 @@ func (r *Router) stepSTRef(now int64) {
 				r.emitGrant(op, out, v.outVC)
 			}
 			// Return the freed slot upstream.
-			r.in[ip].CreditOut.Push(Credit{VC: vi}, now)
+			v.credOut.Push(Credit{VC: v.idx}, now)
 
 			if out.Type.IsTail() {
 				// Release the downstream VC and the per-packet state.
 				op.owner[v.outVC] = -1
-				v.routed = false
-				v.vaDone = false
-				v.blockedOnce = false
+				r.endPacket(v)
 			}
 			break // one flit per output port per cycle
 		}
@@ -615,53 +625,26 @@ func (r *Router) stepBypass(p int, now int64) {
 	if r.thruOut[p] == nil {
 		return
 	}
-	total := mesh.NumPorts * r.numVCs
-	start := r.swRR[p]
-	for pass := 0; pass < 2; pass++ {
-		lo, hi := start, total
-		if pass == 1 {
-			lo, hi = 0, start
-		}
-		for key := r.nextOcc(lo); key != -1 && key < hi; key = r.nextOcc(key + 1) {
-			if r.tryBypassGrant(key, p, now) {
-				return
-			}
-		}
-	}
-}
-
-// stepBypassRef is the reference (Config.FullTick) bypass arbitration:
-// the full modular probe over every (input port, VC) slot, matching
-// stepBypass's circular order with the empty slots kept.
-func (r *Router) stepBypassRef(p int, now int64) {
-	if r.thruOut[p] == nil {
+	if and2(r.cand, r.occ, r.routedTo[p]) == 0 {
 		return
 	}
-	total := mesh.NumPorts * r.numVCs
-	for k := 0; k < total; k++ {
-		key := (r.swRR[p] + k) % total
-		if r.in[key/r.numVCs].vcs[key%r.numVCs].empty() {
-			continue
-		}
-		if r.tryBypassGrant(key, p, now) {
+	start := r.swRR[p]
+	for key := rrNext(r.cand, start, -1); key != -1; key = rrNext(r.cand, start, key) {
+		if r.tryBypassGrant(&r.vcs[key], p, now) {
 			return
 		}
 	}
 }
 
-// tryBypassGrant attempts to send the front flit of VC key over the
-// gated neighbor in direction p. New streams are admitted only for a
-// pipeline-ready thru-eligible head while the neighbor is fully Gated
-// (never mid-wake: pg.Inputs.BypassHold then pins it down until the
-// tail clears the first link) and the landing router is on; an
-// established stream continues on landing-VC credit alone, so a
-// wake-in-progress at the flown-over router never strands a wormhole
-// mid-stream.
-func (r *Router) tryBypassGrant(key, p int, now int64) bool {
-	v := r.in[key/r.numVCs].vcs[key%r.numVCs]
-	if !v.routed || int(v.outDir) != p {
-		return false
-	}
+// tryBypassGrant attempts to send the front flit of v, an occupied VC
+// routed toward p, over the gated neighbor in direction p. New streams
+// are admitted only for a pipeline-ready thru-eligible head while the
+// neighbor is fully Gated (never mid-wake: pg.Inputs.BypassHold then
+// pins it down until the tail clears the first link) and the landing
+// router is on; an established stream continues on landing-VC credit
+// alone, so a wake-in-progress at the flown-over router never strands a
+// wormhole mid-stream.
+func (r *Router) tryBypassGrant(v *vc, p int, now int64) bool {
 	if now-v.frontArrival() < r.trouter {
 		return false // pipeline depth not yet traversed
 	}
@@ -694,6 +677,7 @@ func (r *Router) tryBypassGrant(key, p int, now int64) bool {
 		if v.vaDone {
 			r.out[p].owner[v.outVC] = -1
 			v.vaDone = false
+			clearBit(r.vaSet, v.key)
 		}
 		v.outVC = ov
 		v.bypassing = true
@@ -704,12 +688,8 @@ func (r *Router) tryBypassGrant(key, p int, now int64) bool {
 	// the neighbor's bypass latch, and the second link, landing in the
 	// input buffer of the router two hops out one cycle after it would
 	// have reached the neighbor.
-	r.swRR[p] = (key + 1) % (mesh.NumPorts * r.numVCs)
-	out := v.pop()
-	if v.empty() {
-		r.clearOcc(key)
-	}
-	r.buffered--
+	r.swRR[p] = r.nextRR(v.key)
+	out := r.popFront(v)
 	to.credits[v.outVC]--
 	r.out[p].FlitOut.Push(FlitInTransit{Flit: out, VC: v.outVC, Bypass: true}, now)
 	r.FlitsForwarded++
@@ -738,18 +718,16 @@ func (r *Router) tryBypassGrant(key, p int, now int64) bool {
 		})
 	}
 	// Return the freed slot upstream.
-	r.in[key/r.numVCs].CreditOut.Push(Credit{VC: key % r.numVCs}, now)
+	v.credOut.Push(Credit{VC: v.idx}, now)
 
 	if out.Type.IsTail() {
 		// Release the landing VC and per-packet state. The stream
 		// counter is released by the network when the tail clears the
 		// first link — the bypass latch is live until then.
 		to.owner[v.outVC] = -1
-		v.routed = false
-		v.vaDone = false
+		r.endPacket(v)
 		v.bypassing = false
 		v.thruOK = false
-		v.blockedOnce = false
 	}
 	return true
 }
@@ -810,9 +788,14 @@ func (r *Router) allocBypassVC(p int, f *flit.Flit) (int, bool) {
 // always-successful speculation at low load — allocation conflicts add
 // their own cycles naturally.
 func (r *Router) stepVA(now int64) {
-	for key := r.nextOcc(0); key != -1; key = r.nextOcc(key + 1) {
-		p, vi := key/r.numVCs, key%r.numVCs
-		v := r.in[p].vcs[vi]
+	// Only VCs without a downstream VC can route or allocate; routing and
+	// allocation touch only the visited key's bits, so one snapshot of
+	// occ &^ vaSet serves the whole walk.
+	if andNot(r.cand, r.occ, r.vaSet) == 0 {
+		return
+	}
+	for key := nextSet(r.cand, 0); key != -1; key = nextSet(r.cand, key+1) {
+		v := &r.vcs[key]
 		f := v.front()
 		if !f.Type.IsHead() {
 			continue // body/tail follow the established route
@@ -821,21 +804,16 @@ func (r *Router) stepVA(now int64) {
 			// Route computation (look-ahead: available on arrival). A
 			// routing error here means a corrupted destination — a
 			// programming error, surfaced as the typed *topo.RouteError.
-			v.outDir = topo.MustRoute(r.rf, r.ID, f.Dst())
-			v.routed = true
+			r.route(v, topo.MustRoute(r.rf, r.ID, f.Dst()))
 			v.blockedOnce = false
 			v.thruOK = r.bypassOn && r.thruEligible(v.outDir, f)
-		}
-		if v.vaDone {
-			continue
 		}
 		if now-v.frontArrival() < 1 {
 			continue // VA is pipeline stage 2
 		}
 		op := r.out[v.outDir]
-		if got, ov := r.allocVC(op, f, p, vi); got {
-			v.vaDone = true
-			v.outVC = ov
+		if got, ov := r.allocVC(op, f, key); got {
+			r.allocated(v, ov)
 			if r.bus != nil {
 				r.bus.Emit(obs.Event{Kind: obs.KindVCAlloc, Node: int32(r.ID),
 					Dir: int8(v.outDir), VC: int16(ov), Pkt: f.Packet.ID})
@@ -844,56 +822,16 @@ func (r *Router) stepVA(now int64) {
 	}
 }
 
-// stepVARef is the reference (Config.FullTick) VA stage: the seed's full
-// nested probe over every (port, VC) slot.
-func (r *Router) stepVARef(now int64) {
-	for p := 0; p < mesh.NumPorts; p++ {
-		for vi := 0; vi < r.numVCs; vi++ {
-			v := r.in[p].vcs[vi]
-			if v.empty() {
-				continue
-			}
-			f := v.front()
-			if !f.Type.IsHead() {
-				continue // body/tail follow the established route
-			}
-			if !v.routed {
-				// Route computation (look-ahead: available on arrival).
-				v.outDir = topo.MustRoute(r.rf, r.ID, f.Dst())
-				v.routed = true
-				v.blockedOnce = false
-				v.thruOK = r.bypassOn && r.thruEligible(v.outDir, f)
-			}
-			if v.vaDone {
-				continue
-			}
-			if now-v.frontArrival() < 1 {
-				continue // VA is pipeline stage 2
-			}
-			op := r.out[v.outDir]
-			if got, ov := r.allocVC(op, f, p, vi); got {
-				v.vaDone = true
-				v.outVC = ov
-				if r.bus != nil {
-					r.bus.Emit(obs.Event{Kind: obs.KindVCAlloc, Node: int32(r.ID),
-						Dir: int8(v.outDir), VC: int16(ov), Pkt: f.Packet.ID})
-				}
-			}
-		}
-	}
-}
-
 // allocVC tries to allocate a downstream VC at output port op for packet
-// head f arriving on (port, vcIdx). Data packets use data VCs; control
+// head f buffered in input VC key. Data packets use data VCs; control
 // packets prefer the control VC and fall back to data VCs. On fabrics
 // with wrap links (torus, ring) inter-router outputs are additionally
 // restricted to the packet's dateline VC class, which is what breaks
 // the ring's channel-dependency cycle (see topo.RoutingFunction.ClassFor);
 // ejection through the Local port is never class-restricted.
-func (r *Router) allocVC(op *OutputPort, f *flit.Flit, port, vcIdx int) (bool, int) {
+func (r *Router) allocVC(op *OutputPort, f *flit.Flit, key int) (bool, int) {
 	perVN := r.cfg.VCsPerVN()
 	base := int(f.Packet.VN) * perVN
-	key := r.vcKey(port, vcIdx)
 
 	tryRange := func(lo, hi int) (bool, int) {
 		for v := lo; v < hi; v++ {
@@ -937,26 +875,19 @@ func (r *Router) allocVC(op *OutputPort, f *flit.Flit, port, vcIdx int) (bool, i
 // paper's Figure 2 handshake from it (asserted from route-computation
 // time — the ConvOpt "early wakeup" optimization).
 func (r *Router) WantsOutput(want *[mesh.NumPorts]bool) {
-	for p := 0; p < mesh.NumPorts; p++ {
-		want[p] = false
-	}
+	*want = [mesh.NumPorts]bool{}
 	if r.buffered == 0 {
 		return
 	}
-	if r.cfg.FullTick {
-		for p := 0; p < mesh.NumPorts; p++ {
-			for vi := 0; vi < r.numVCs; vi++ {
-				v := r.in[p].vcs[vi]
-				if !v.empty() && v.routed && !(r.bypassOn && r.wantSuppressed(v)) {
-					want[v.outDir] = true
-				}
-			}
+	if !r.bypassOn {
+		for p := range want {
+			want[p] = and2(r.cand, r.occ, r.routedTo[p]) != 0
 		}
 		return
 	}
-	for key := r.nextOcc(0); key != -1; key = r.nextOcc(key + 1) {
-		v := r.in[key/r.numVCs].vcs[key%r.numVCs]
-		if v.routed && !(r.bypassOn && r.wantSuppressed(v)) {
+	for key := nextSet(r.occ, 0); key != -1; key = nextSet(r.occ, key+1) {
+		v := &r.vcs[key]
+		if v.routed && !r.wantSuppressed(v) {
 			want[v.outDir] = true
 		}
 	}
@@ -967,25 +898,12 @@ func (r *Router) WantsOutput(want *[mesh.NumPorts]bool) {
 // output (no early wakeup), matching the unoptimized handshake of the
 // paper's Section 2.2.
 func (r *Router) WantsOutputAtSA(want *[mesh.NumPorts]bool, now int64) {
-	for p := 0; p < mesh.NumPorts; p++ {
-		want[p] = false
-	}
+	*want = [mesh.NumPorts]bool{}
 	if r.buffered == 0 {
 		return
 	}
-	if r.cfg.FullTick {
-		for p := 0; p < mesh.NumPorts; p++ {
-			for vi := 0; vi < r.numVCs; vi++ {
-				v := r.in[p].vcs[vi]
-				if !v.empty() && v.routed && now-v.frontArrival() >= r.trouter {
-					want[v.outDir] = true
-				}
-			}
-		}
-		return
-	}
-	for key := r.nextOcc(0); key != -1; key = r.nextOcc(key + 1) {
-		v := r.in[key/r.numVCs].vcs[key%r.numVCs]
+	for key := nextSet(r.occ, 0); key != -1; key = nextSet(r.occ, key+1) {
+		v := &r.vcs[key]
 		if v.routed && now-v.frontArrival() >= r.trouter {
 			want[v.outDir] = true
 		}
@@ -1020,11 +938,11 @@ type VCView struct {
 func (r *Router) ForEachVC(now int64, fn func(VCView)) {
 	for p := 0; p < mesh.NumPorts; p++ {
 		for vi := 0; vi < r.numVCs; vi++ {
-			v := r.in[p].vcs[vi]
+			v := r.vcAt(p, vi)
 			view := VCView{
 				Port:      mesh.Direction(p),
 				Index:     vi,
-				Key:       r.vcKey(p, vi),
+				Key:       v.key,
 				Depth:     v.depth,
 				Occupancy: len(v.buf),
 				Routed:    v.routed,
@@ -1053,13 +971,10 @@ func (r *Router) ResidentHeads(fn func(p *flit.Packet)) {
 	if r.buffered == 0 {
 		return
 	}
-	for p := 0; p < mesh.NumPorts; p++ {
-		for vi := 0; vi < r.numVCs; vi++ {
-			v := r.in[p].vcs[vi]
-			for _, f := range v.buf {
-				if f.Type.IsHead() {
-					fn(f.Packet)
-				}
+	for key := nextSet(r.occ, 0); key != -1; key = nextSet(r.occ, key+1) {
+		for _, f := range r.vcs[key].buf {
+			if f.Type.IsHead() {
+				fn(f.Packet)
 			}
 		}
 	}
@@ -1168,21 +1083,8 @@ func (r *Router) EmitPunches(f PunchEmitter) {
 	if r.buffered == 0 {
 		return
 	}
-	if r.cfg.FullTick {
-		for p := 0; p < mesh.NumPorts; p++ {
-			for vi := 0; vi < r.numVCs; vi++ {
-				for _, fl := range r.in[p].vcs[vi].buf {
-					if fl.Type.IsHead() {
-						f.EmitSource(r.ID, fl.Packet.Dst)
-					}
-				}
-			}
-		}
-		return
-	}
-	for key := r.nextOcc(0); key != -1; key = r.nextOcc(key + 1) {
-		v := r.in[key/r.numVCs].vcs[key%r.numVCs]
-		for _, fl := range v.buf {
+	for key := nextSet(r.occ, 0); key != -1; key = nextSet(r.occ, key+1) {
+		for _, fl := range r.vcs[key].buf {
 			if fl.Type.IsHead() {
 				f.EmitSource(r.ID, fl.Packet.Dst)
 			}

@@ -1,13 +1,19 @@
-package router
+package router_test
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"powerpunch/internal/config"
 	"powerpunch/internal/flit"
 	"powerpunch/internal/mesh"
+	"powerpunch/internal/network"
 	"powerpunch/internal/pg"
+	"powerpunch/internal/router"
 	"powerpunch/internal/topo"
+	"powerpunch/internal/traffic"
 )
 
 func testCfg() config.Config {
@@ -17,11 +23,11 @@ func testCfg() config.Config {
 	return cfg
 }
 
-func newRouter(t *testing.T, id mesh.NodeID, cfg *config.Config) *Router {
+func newRouter(t *testing.T, id mesh.NodeID, cfg *config.Config) *router.Router {
 	t.Helper()
 	m := mesh.New(cfg.Width, cfg.Height)
 	ctrl := pg.New(false, 2, 1, 0)
-	return New(id, topo.Routing(topo.FromMesh(m)), cfg, ctrl, nil)
+	return router.New(id, topo.Routing(topo.FromMesh(m)), cfg, ctrl, nil)
 }
 
 func mkPacket(id uint64, src, dst mesh.NodeID, size int) *flit.Packet {
@@ -37,7 +43,7 @@ func kindFor(size int) flit.Kind {
 
 // stepUntil steps the router until pred or the cycle budget runs out,
 // returning the cycle pred first held.
-func stepUntil(r *Router, from int64, budget int, pred func() bool) int64 {
+func stepUntil(r *router.Router, from int64, budget int, pred func() bool) int64 {
 	for now := from; now < from+int64(budget); now++ {
 		r.Step(now)
 		if pred() {
@@ -117,7 +123,7 @@ func TestCreditsBlockWhenExhausted(t *testing.T) {
 			next++
 		}
 		r.Step(now)
-		out.FlitOut.Drain(now+100, func(ft FlitInTransit) { allocatedVC = ft.VC })
+		out.FlitOut.Drain(now+100, func(ft router.FlitInTransit) { allocatedVC = ft.VC })
 	}
 	// 3 drained, credits for the downstream VC now 0; flits 3,4 stuck.
 	if got := r.BufferedFlits(); got != 2 {
@@ -132,7 +138,7 @@ func TestCreditsBlockWhenExhausted(t *testing.T) {
 	forwarded := 0
 	for now := int64(30); now < 40; now++ {
 		r.Step(now)
-		out.FlitOut.Drain(now+100, func(FlitInTransit) { forwarded++ })
+		out.FlitOut.Drain(now+100, func(router.FlitInTransit) { forwarded++ })
 	}
 	if forwarded != 2 || r.BufferedFlits() != 0 {
 		t.Fatalf("after credit return: forwarded %d, buffered %d", forwarded, r.BufferedFlits())
@@ -156,7 +162,7 @@ func TestWormholeKeepsPacketContiguousPerVC(t *testing.T) {
 		}
 		r.Step(now)
 		// Return credits promptly so the whole packet can flow.
-		out.FlitOut.Drain(now+100, func(ft FlitInTransit) {
+		out.FlitOut.Drain(now+100, func(ft router.FlitInTransit) {
 			seqs = append(seqs, ft.Flit.Seq)
 			r.ReceiveCredit(mesh.East, ft.VC)
 		})
@@ -211,7 +217,7 @@ func TestGatedRouterDoesNothing(t *testing.T) {
 	cfg.Scheme = config.ConvOptPG
 	m := mesh.New(cfg.Width, cfg.Height)
 	ctrl := pg.New(true, 2, 8, 10)
-	r := New(5, topo.Routing(topo.FromMesh(m)), &cfg, ctrl, nil)
+	r := router.New(5, topo.Routing(topo.FromMesh(m)), &cfg, ctrl, nil)
 	// Gate the controller.
 	for i := 0; i < 5; i++ {
 		ctrl.Step(pg.Inputs{Empty: true})
@@ -235,9 +241,9 @@ func TestVCAllocationRespectsVirtualNetworks(t *testing.T) {
 	for now := int64(0); now < 6; now++ {
 		r.Step(now)
 	}
-	var got FlitInTransit
+	var got router.FlitInTransit
 	found := false
-	r.Out(mesh.East).FlitOut.Drain(100, func(ft FlitInTransit) { got, found = ft, true })
+	r.Out(mesh.East).FlitOut.Drain(100, func(ft router.FlitInTransit) { got, found = ft, true })
 	if !found {
 		t.Fatal("packet not forwarded")
 	}
@@ -256,7 +262,7 @@ func TestControlPacketPrefersControlVC(t *testing.T) {
 		r.Step(now)
 	}
 	var vc int
-	r.Out(mesh.East).FlitOut.Drain(100, func(ft FlitInTransit) { vc = ft.VC })
+	r.Out(mesh.East).FlitOut.Drain(100, func(ft router.FlitInTransit) { vc = ft.VC })
 	if vc != cfg.DataVCs { // control VC follows the data VCs
 		t.Errorf("control packet on VC %d, want control VC %d", vc, cfg.DataVCs)
 	}
@@ -274,7 +280,7 @@ func TestDataPacketUsesDataVC(t *testing.T) {
 		r.Step(now)
 	}
 	seen := false
-	r.Out(mesh.East).FlitOut.Drain(100, func(ft FlitInTransit) {
+	r.Out(mesh.East).FlitOut.Drain(100, func(ft router.FlitInTransit) {
 		seen = true
 		if !defaultIsData(&cfg, ft.VC) {
 			t.Errorf("data packet on non-data VC %d", ft.VC)
@@ -322,7 +328,7 @@ func TestEjectionPortHasUnboundedCredits(t *testing.T) {
 			pending = pending[1:]
 		}
 		r.Step(now)
-		r.Out(mesh.Local).FlitOut.Drain(now+100, func(FlitInTransit) { count++ })
+		r.Out(mesh.Local).FlitOut.Drain(now+100, func(router.FlitInTransit) { count++ })
 	}
 	if count != 8 {
 		t.Errorf("ejected %d flits, want 8", count)
@@ -391,7 +397,7 @@ func TestSwitchAllocationIsRoundRobinFair(t *testing.T) {
 			}
 		}
 		r.Step(now)
-		out.FlitOut.Drain(now+100, func(ft FlitInTransit) {
+		out.FlitOut.Drain(now+100, func(ft router.FlitInTransit) {
 			wins[ft.VC%cfg.VCsPerVN()]++ // downstream VC tracks input class
 			r.ReceiveCredit(mesh.East, ft.VC)
 		})
@@ -409,6 +415,290 @@ func TestSwitchAllocationIsRoundRobinFair(t *testing.T) {
 		frac := float64(w) / float64(total)
 		if frac > 0.8 {
 			t.Errorf("VC class %d monopolized the output (%.0f%%)", vc, frac*100)
+		}
+	}
+}
+
+// TestBitsetsMatchProbe is the brute-force oracle for the router's
+// VC-key bitsets. It drives random traffic, alternating between heavy
+// and light load so routers saturate, gate, wake and (under FlyOver-PG)
+// get flown over, through an 8x8 mesh and a 4x4 torus under No-PG,
+// PowerPunch-PG and FlyOver-PG. After every cycle it checks every router:
+//   - occ, routedTo and vaSet equal a full (port, VC) probe of the VC
+//     state;
+//   - every stage walk visits what the probe it replaced would accept,
+//     in the same order: the circular (swRR[p]+k)%total probe for switch
+//     and bypass arbitration, the ascending nested (port, VC) probe for
+//     the PG-stall and VA walks.
+func TestBitsetsMatchProbe(t *testing.T) {
+	fabrics := []struct {
+		topo string
+		w, h int
+	}{{"mesh", 8, 8}, {"torus", 4, 4}}
+	schemes := []config.Scheme{config.NoPG, config.PowerPunchPG, config.FlyOverPG}
+	cycles := int64(2400)
+	if testing.Short() {
+		cycles = 600
+	}
+	for _, fab := range fabrics {
+		for _, s := range schemes {
+			fab, s := fab, s
+			t.Run(fmt.Sprintf("%s/%s", fab.topo, s), func(t *testing.T) {
+				cfg := config.Default()
+				cfg.Topology, cfg.Width, cfg.Height = fab.topo, fab.w, fab.h
+				cfg.Scheme = s
+				n, err := network.New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pat, err := traffic.ByName("uniform")
+				if err != nil {
+					t.Fatal(err)
+				}
+				drv := traffic.NewSynthetic(pat, 0, 7)
+				var pr prober
+				for now := int64(0); now < cycles; now++ {
+					// 300 busy cycles, then 300 nearly idle ones.
+					drv.Rate = 0.35
+					if now/300%2 == 1 {
+						drv.Rate = 0.01
+					}
+					drv.Tick(n, now)
+					n.Step()
+					for _, r := range n.Routers {
+						if err := pr.check(r, now); err != nil {
+							t.Fatalf("cycle %d: router %d: %v", now, r.ID, err)
+						}
+					}
+				}
+				// The walks under test must all have had work to do.
+				var gatings, stalls, bypassed int64
+				for _, r := range n.Routers {
+					gatings += r.Ctrl.Stats().GatingEvents
+					stalls += r.PGStallCycles
+					bypassed += r.FlitsBypassed
+				}
+				t.Logf("gating events %d, PG stall cycles %d, bypassed flits %d", gatings, stalls, bypassed)
+				if s != config.NoPG && (gatings == 0 || stalls == 0) {
+					t.Errorf("no gating (%d events) or no PG stalls (%d cycles)", gatings, stalls)
+				}
+				if s == config.FlyOverPG && bypassed == 0 {
+					t.Error("no flit was bypassed")
+				}
+			})
+		}
+	}
+}
+
+// prober compares a router's bitsets and stage walks against a full
+// (port, VC) probe of its VC state, reusing its buffers across calls.
+type prober struct {
+	views     []router.VCView
+	got, want []int
+	m         []uint64
+}
+
+func (pr *prober) check(r *router.Router, now int64) error {
+	occ, routedTo, vaSet := router.Bitsets(r)
+	pr.views = pr.views[:0]
+	r.ForEachVC(now, func(v router.VCView) { pr.views = append(pr.views, v) })
+	views, total := pr.views, len(pr.views)
+	has := func(s []uint64, k int) bool { return s[k>>6]>>(k&63)&1 == 1 }
+	for k, v := range views {
+		if v.Key != k {
+			return fmt.Errorf("VC (%v, %d) has key %d, want %d", v.Port, v.Index, v.Key, k)
+		}
+		if has(occ, k) != (v.Occupancy > 0) {
+			return fmt.Errorf("key %d: occ bit %v, occupancy %d", k, has(occ, k), v.Occupancy)
+		}
+		for p := range routedTo {
+			if want := v.Routed && int(v.OutDir) == p; has(routedTo[p], k) != want {
+				return fmt.Errorf("key %d: routedTo[%v] bit %v, routed %v toward %v", k, mesh.Direction(p), !want, v.Routed, v.OutDir)
+			}
+		}
+		if has(vaSet, k) != v.VADone {
+			return fmt.Errorf("key %d: vaSet bit %v, vaDone %v", k, !v.VADone, v.VADone)
+		}
+	}
+
+	// mask ANDs the bitsets the way the stages do; walk lists a mask's
+	// keys in a stage's order (round-robin from start, or ascending when
+	// start is -1).
+	mask := func(sets ...[]uint64) []uint64 {
+		m := append(pr.m[:0], sets[0]...)
+		for _, s := range sets[1:] {
+			for i := range m {
+				m[i] &= s[i]
+			}
+		}
+		pr.m = m
+		return m
+	}
+	walk := func(m []uint64, start int) []int {
+		keys := pr.got[:0]
+		defer func() { pr.got = keys }()
+		if start == -1 {
+			for k := router.NextSet(m, 0); k != -1; k = router.NextSet(m, k+1) {
+				keys = append(keys, k)
+			}
+			return keys
+		}
+		for k := router.RRNext(m, start, -1); k != -1; k = router.RRNext(m, start, k) {
+			keys = append(keys, k)
+		}
+		return keys
+	}
+	probe := func(start int, accept func(router.VCView) bool) []int {
+		keys := pr.want[:0]
+		defer func() { pr.want = keys }()
+		for k := 0; k < total; k++ {
+			key := k
+			if start != -1 {
+				key = (start + k) % total
+			}
+			if accept(views[key]) {
+				keys = append(keys, key)
+			}
+		}
+		return keys
+	}
+	notVA := append(pr.m[:0], occ...)
+	for i := range notVA {
+		notVA[i] &^= vaSet[i]
+	}
+	pr.m = notVA
+	if got, want := walk(notVA, -1), probe(-1, func(v router.VCView) bool { return v.Occupancy > 0 && !v.VADone }); !slices.Equal(got, want) {
+		return fmt.Errorf("VA walk %v, probe %v", got, want)
+	}
+	for p := 0; p < mesh.NumPorts; p++ {
+		start := router.SwitchRR(r, p)
+		toP := func(v router.VCView) bool { return v.Occupancy > 0 && v.Routed && int(v.OutDir) == p }
+		if got, want := walk(mask(occ, routedTo[p], vaSet), start), probe(start, func(v router.VCView) bool { return toP(v) && v.VADone }); !slices.Equal(got, want) {
+			return fmt.Errorf("switch walk toward %v from %d: %v, probe %v", mesh.Direction(p), start, got, want)
+		}
+		if got, want := walk(mask(occ, routedTo[p]), start), probe(start, toP); !slices.Equal(got, want) {
+			return fmt.Errorf("bypass walk toward %v from %d: %v, probe %v", mesh.Direction(p), start, got, want)
+		}
+		if got, want := walk(mask(occ, routedTo[p]), -1), probe(-1, toP); !slices.Equal(got, want) {
+			return fmt.Errorf("stall walk toward %v: %v, probe %v", mesh.Direction(p), got, want)
+		}
+	}
+	return nil
+}
+
+// TestRRNextMatchesCircularProbe checks the round-robin walk on random
+// multi-word sets, which the default VC geometry (45 keys, one word)
+// never reaches.
+func TestRRNextMatchesCircularProbe(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 2000; iter++ {
+		total := 1 + rng.Intn(200)
+		set := make([]uint64, (total+63)/64)
+		density := rng.Float64()
+		for k := 0; k < total; k++ {
+			if rng.Float64() < density {
+				set[k>>6] |= 1 << (k & 63)
+			}
+		}
+		start := rng.Intn(total)
+		var got, want []int
+		for k := router.RRNext(set, start, -1); k != -1; k = router.RRNext(set, start, k) {
+			got = append(got, k)
+		}
+		for k := 0; k < total; k++ {
+			if key := (start + k) % total; set[key>>6]>>(key&63)&1 == 1 {
+				want = append(want, key)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("total %d start %d: walk %v, probe %v", total, start, got, want)
+		}
+	}
+}
+
+// stepHarness holds one interior router of an 8x8 mesh at a fixed VC
+// occupancy: every occupied VC buffers one single-flit packet, and each
+// flit the router forwards is returned with its credit and re-injected
+// into the input VC it left, so every cycle sees the same resident set.
+type stepHarness struct {
+	r      *router.Router
+	now    int64
+	onFlit [mesh.NumPorts]func(router.FlitInTransit)
+	noop   func(router.Credit)
+}
+
+func newStepHarness(occupied int) *stepHarness {
+	cfg := config.Default()
+	cfg.Scheme = config.NoPG
+	m := mesh.New(cfg.Width, cfg.Height)
+	const id = 27 // (3,3)
+	r := router.New(id, topo.Routing(topo.FromMesh(m)), &cfg, pg.New(false, 2, 1, 0), nil)
+	h := &stepHarness{r: r, noop: func(router.Credit) {}}
+	numVCs, perVN := r.NumVCs(), cfg.VCsPerVN()
+	total := mesh.NumPorts * numVCs
+	// One destination per output direction: E, W, N, S, Local.
+	dsts := []mesh.NodeID{28, 26, 19, 35, 27}
+	for i := 0; i < occupied; i++ {
+		key := i * total / occupied
+		port, v := key/numVCs, key%numVCs
+		p := &flit.Packet{ID: uint64(key), Src: id, Dst: dsts[(port+v)%len(dsts)],
+			VN: flit.VirtualNetwork(v / perVN), Kind: flit.KindControl, Size: 1}
+		r.ReceiveFlit(mesh.Direction(port), v, flit.NewFlits(p)[0], 0)
+	}
+	for d := range h.onFlit {
+		d := mesh.Direction(d)
+		h.onFlit[d] = func(ft router.FlitInTransit) {
+			r.ReceiveCredit(d, ft.VC)
+			key := int(ft.Flit.Packet.ID)
+			r.ReceiveFlit(mesh.Direction(key/numVCs), key%numVCs, ft.Flit, h.now+1)
+		}
+	}
+	return h
+}
+
+// step advances the router one cycle and recirculates what it forwarded.
+func (h *stepHarness) step() {
+	h.r.Step(h.now)
+	for d := mesh.Direction(0); d < mesh.NumPorts; d++ {
+		h.r.Out(d).FlitOut.Drain(h.now+1, h.onFlit[d])
+		h.r.In(d).CreditOut.Drain(h.now+1, h.noop)
+	}
+	h.now++
+}
+
+// BenchmarkRouterStep is the router-pipeline layer microbenchmark: one
+// Router.Step (switch allocation + traversal, then route computation
+// and VC allocation) at a fixed number of occupied input VCs out of the
+// default geometry's 45.
+func BenchmarkRouterStep(b *testing.B) {
+	for _, occupied := range []int{5, 15, 30, 45} {
+		b.Run(fmt.Sprintf("vcs=%d", occupied), func(b *testing.B) {
+			h := newStepHarness(occupied)
+			for i := 0; i < 100; i++ {
+				h.step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.step()
+			}
+		})
+	}
+}
+
+// TestRouterStepAllocFree pins BenchmarkRouterStep's steady state at
+// zero allocations per cycle.
+func TestRouterStepAllocFree(t *testing.T) {
+	for _, occupied := range []int{5, 45} {
+		h := newStepHarness(occupied)
+		for i := 0; i < 100; i++ {
+			h.step()
+		}
+		if h.r.FlitsForwarded == 0 {
+			t.Fatalf("vcs=%d: harness forwarded nothing", occupied)
+		}
+		if avg := testing.AllocsPerRun(500, h.step); avg != 0 {
+			t.Errorf("vcs=%d: %.2f allocs per router cycle, want 0", occupied, avg)
 		}
 	}
 }

@@ -161,7 +161,7 @@ func New(k Kind, width, height int) (Topology, error) {
 		if width < 2 || height < 2 {
 			return nil, fmt.Errorf("topo: torus needs both dimensions >= 2, got %dx%d", width, height)
 		}
-		return &grid{kind: KindTorus, w: width, h: height, wrapX: true, wrapY: true}, nil
+		return newGrid(&grid{kind: KindTorus, w: width, h: height, wrapX: true, wrapY: true}), nil
 	case KindRing:
 		if height != 1 {
 			return nil, fmt.Errorf("topo: ring needs height 1, got %dx%d", width, height)
@@ -169,7 +169,7 @@ func New(k Kind, width, height int) (Topology, error) {
 		if width < 2 {
 			return nil, fmt.Errorf("topo: ring needs >= 2 nodes, got %d", width)
 		}
-		return &grid{kind: KindRing, w: width, h: 1, wrapX: true}, nil
+		return newGrid(&grid{kind: KindRing, w: width, h: 1, wrapX: true}), nil
 	default:
 		return nil, fmt.Errorf("topo: unknown kind %v", k)
 	}
