@@ -18,8 +18,15 @@ build:
 test: build
 	$(GO) test ./...
 
+# vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@bad=$$(gofmt -l cmd internal examples *.go); \
+	if [ -n "$$bad" ]; then \
+		echo "vet: files need gofmt:"; \
+		echo "$$bad"; \
+		exit 1; \
+	fi
 
 race:
 	$(GO) test -race ./...
@@ -44,7 +51,7 @@ soak-obs: vet
 # (TestSoakParallelEnergy: per-component accounting + timeline sampler
 # on all schemes x mesh/torus) — under the race detector, so the
 # section bodies, barrier handoffs, replay buffers, per-worker pools,
-# and counter lanes get full data-race coverage. The golden
+# and per-router energy counters get full data-race coverage. The golden
 # differential suite (TestParallelMatchesSerial and friends, tier-1)
 # locks bit-identical results; this target locks race-freedom and
 # liveness.
@@ -77,18 +84,6 @@ apicheck: build
 	@$(GO) doc -all . > /tmp/api_new.txt; \
 	if ! diff -u API.txt /tmp/api_new.txt; then \
 		echo "apicheck: exported API drifted from API.txt (run 'make api' and commit if intended)"; \
-		exit 1; \
-	fi
-	@# Deprecation gate: the Scheme.Uses* predicates survive only for
-	@# external callers; internal packages must resolve the scheme.Policy
-	@# once (Scheme.Policy / Config capability fields) instead of
-	@# re-querying string-keyed predicates per call site.
-	@bad=$$(grep -rn '\.Uses\(EarlyWakeup\|IdleTimeoutFilter\|PowerGating\|Punch\|NISlack\)(' \
-		internal/ cmd/ *.go 2>/dev/null \
-		| grep -v '_test\.go' | grep -v '^internal/config/config\.go' || true); \
-	if [ -n "$$bad" ]; then \
-		echo "apicheck: deprecated Scheme.Uses* predicate called outside internal/config/config.go:"; \
-		echo "$$bad"; \
 		exit 1; \
 	fi
 

@@ -86,49 +86,6 @@ func (s Scheme) Policy() (scheme.Policy, error) {
 	return scheme.Lookup(string(s))
 }
 
-// policy resolves s, treating unknown names as the inert baseline so
-// the deprecated predicates below stay total functions. Validate is
-// the place unknown names are reported.
-func (s Scheme) policy() scheme.Policy {
-	p, err := scheme.Lookup(string(s))
-	if err != nil {
-		p, _ = scheme.Lookup(scheme.NoPG)
-	}
-	return p
-}
-
-// UsesEarlyWakeup reports whether WU levels fire at route-computation
-// time (the ConvOpt optimization, also subsumed by the punch schemes);
-// PlainPG asserts WU only when the packet requests the switch.
-//
-// Deprecated: resolve the policy once with Scheme.Policy and use
-// Policy.EarlyWakeup. The predicates survive only for external
-// callers; internal packages go through the policy (make apicheck
-// grep-gates it).
-func (s Scheme) UsesEarlyWakeup() bool { return s.policy().EarlyWakeup() }
-
-// UsesIdleTimeoutFilter reports whether the long (BET-oriented) idle
-// timeout applies; PlainPG uses only the 2-cycle in-flight minimum.
-//
-// Deprecated: use Policy.IdleFilter via Scheme.Policy.
-func (s Scheme) UsesIdleTimeoutFilter() bool { return s.policy().IdleFilter() }
-
-// UsesPowerGating reports whether routers may be gated off under s.
-//
-// Deprecated: use Policy.Gates via Scheme.Policy.
-func (s Scheme) UsesPowerGating() bool { return s.policy().Gates() }
-
-// UsesPunch reports whether multi-hop punch signals are active under s.
-//
-// Deprecated: use Policy.Punches via Scheme.Policy.
-func (s Scheme) UsesPunch() bool { return s.policy().Punches() }
-
-// UsesNISlack reports whether injection-node slack (paper Section 4.2) is
-// exploited under s.
-//
-// Deprecated: use Policy.NISlack via Scheme.Policy.
-func (s Scheme) UsesNISlack() bool { return s.policy().NISlack() }
-
 // UnknownSchemeError reports a Scheme name that is not in the scheme
 // registry (re-exported from internal/scheme so callers assert on it
 // at the config surface, like UnknownPowerPresetError).

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"powerpunch/internal/power"
+	"powerpunch/internal/scheme"
 )
 
 func TestDefaultIsValid(t *testing.T) {
@@ -162,10 +163,20 @@ func TestSchemePredicates(t *testing.T) {
 		{PowerPunchPG, true, true, true},
 	}
 	for _, c := range cases {
-		if c.s.UsesPowerGating() != c.pg || c.s.UsesPunch() != c.punch || c.s.UsesNISlack() != c.slack {
+		p := mustPolicy(t, c.s)
+		if p.Gates() != c.pg || p.Punches() != c.punch || p.NISlack() != c.slack {
 			t.Errorf("%v predicates wrong", c.s)
 		}
 	}
+}
+
+func mustPolicy(t *testing.T, s Scheme) scheme.Policy {
+	t.Helper()
+	p, err := s.Policy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestVCDepthMapping(t *testing.T) {
@@ -228,14 +239,15 @@ func TestEarlyWakeupAndTimeoutPredicates(t *testing.T) {
 		{PowerPunchPG, true, false},
 	}
 	for _, c := range cases {
-		if c.s.UsesEarlyWakeup() != c.early {
-			t.Errorf("%v.UsesEarlyWakeup() = %v", c.s, !c.early)
+		p := mustPolicy(t, c.s)
+		if p.EarlyWakeup() != c.early {
+			t.Errorf("%v EarlyWakeup() = %v", c.s, !c.early)
 		}
-		if c.s.UsesIdleTimeoutFilter() != c.timeout {
-			t.Errorf("%v.UsesIdleTimeoutFilter() = %v", c.s, !c.timeout)
+		if p.IdleFilter() != c.timeout {
+			t.Errorf("%v IdleFilter() = %v", c.s, !c.timeout)
 		}
 	}
-	if PlainPG.String() != "Plain-PG" || !PlainPG.UsesPowerGating() {
+	if PlainPG.String() != "Plain-PG" || !mustPolicy(t, PlainPG).Gates() {
 		t.Error("PlainPG identity")
 	}
 }

@@ -70,6 +70,14 @@ func TestFullSystemExperimentSmoke(t *testing.T) {
 	if m[config.PowerPunchPG].StaticSaved < 0.5 {
 		t.Errorf("PowerPunch-PG static savings %.2f implausibly low", m[config.PowerPunchPG].StaticSaved)
 	}
+	for s, sm := range m {
+		if sm.Components.Version != 1 {
+			t.Errorf("%v: energy breakdown version = %d, want 1", s, sm.Components.Version)
+		}
+		if sm.Energy.Total() > 0 && sm.Components.Total() == 0 {
+			t.Errorf("%v: aggregate energy %.3e but component view is empty", s, sm.Energy.Total())
+		}
+	}
 
 	for _, format := range []func([]BenchResult) string{
 		FormatFig7, FormatFig8, FormatFig9, FormatFig10, FormatFig11,

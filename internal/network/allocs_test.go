@@ -97,10 +97,9 @@ func TestStepAllocsRecycledLoads(t *testing.T) {
 
 // TestStepAllocsEnergyAccounting is TestStepAllocsRecycledLoads with
 // the per-component energy accountant switched on for the measured
-// window: every emission site charges its float expression AND bumps
-// its integer event counter, and the whole inject+Step cycle must
-// still allocate nothing — on the serial engine and on the sharded
-// engine, whose per-worker counter lanes were sized at construction.
+// window: every emission site bumps its router's integer event
+// counter, and the whole inject+Step cycle must still allocate
+// nothing — on the serial engine and on the sharded engine.
 func TestStepAllocsEnergyAccounting(t *testing.T) {
 	for _, workers := range []int{0, 4} {
 		for _, load := range []float64{0.10, 0.30} {
@@ -175,7 +174,7 @@ func TestStepAllocsLoadedSteadyState(t *testing.T) {
 					if seq%2 == 0 {
 						kind = flit.KindData
 					}
-					p := n.NewPacket(src, dst, flit.VirtualNetwork(seq % 3), kind)
+					p := n.NewPacket(src, dst, flit.VirtualNetwork(seq%3), kind)
 					n.NI(src).Submit(p, true, n.Now())
 				}
 				seq++
@@ -209,7 +208,7 @@ func TestStepAllocsLoadedSteadyState(t *testing.T) {
 						if seq%2 == 0 {
 							kind = flit.KindData
 						}
-						subs = append(subs, sub{p: n.NewPacket(src, dst, flit.VirtualNetwork(seq % 3), kind), at: i})
+						subs = append(subs, sub{p: n.NewPacket(src, dst, flit.VirtualNetwork(seq%3), kind), at: i})
 					}
 					seq++
 				}

@@ -330,12 +330,6 @@ func (n *Network) SetAccounting(v bool) {
 	if n.sched != nil {
 		n.sched.syncAll(n.now - 1)
 	}
-	if n.par != nil {
-		// The sync's catch-up charges landed in the per-worker counter
-		// lanes; fold them under the outgoing flag so the boundary is
-		// exact for readers that arrive before the next cycle's fold.
-		n.Acct.FoldLanes()
-	}
 	n.Acct.SetEnabled(v)
 }
 
@@ -826,9 +820,6 @@ func (n *Network) Quiesced() bool {
 func (n *Network) SyncInspection() {
 	if n.sched != nil {
 		n.sched.syncAll(n.now - 1)
-	}
-	if n.par != nil {
-		n.Acct.FoldLanes()
 	}
 }
 

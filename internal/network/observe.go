@@ -57,9 +57,8 @@ func (n *Network) Observe(sinks ...obs.Sink) {
 	for _, s := range sinks {
 		// Sinks that consume cumulative per-component energy (the
 		// timeline Sampler's power columns) read the run's accountant.
-		// Accounting settles — including the parallel engine's lane
-		// fold — before any engine closes the bus cycle, so EndCycle
-		// reads are current and engine-invariant.
+		// Accounting settles before any engine closes the bus cycle, so
+		// EndCycle reads are current and engine-invariant.
 		if pm, ok := s.(interface{ SetPowerMeter(obs.PowerMeter) }); ok {
 			pm.SetPowerMeter(n.Acct)
 		}

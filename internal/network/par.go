@@ -51,7 +51,7 @@ package network
 //	             ticks (gating schemes only)
 //	coordinator  replay controller events, TickCycle, merge dirty
 //	             collector lanes, drain flit returns, invariant
-//	             checks, endCycle, fold counter lanes
+//	             checks, endCycle
 //
 // Why the fusions are sound:
 //
@@ -360,8 +360,6 @@ func newParEngine(n *Network, workers int) *parEngine {
 			e.dirty[h] = true
 		}
 	}
-
-	n.Acct.SetLanes(e.ownerOf, nw)
 
 	for i, nif := range n.NIs {
 		w := e.workers[e.ownerOf[i]]
@@ -1202,10 +1200,6 @@ func (e *parEngine) step() {
 	if s != nil {
 		s.endCycle(now)
 	}
-	// Fold the counter lanes after the checker's syncAll (whose
-	// catch-up charges land in lanes) so end-of-cycle readers — the
-	// sampler on bus EndCycle, post-run reports — see folded counts.
-	n.Acct.FoldLanes()
 	if n.bus != nil {
 		n.bus.EndCycle()
 	}

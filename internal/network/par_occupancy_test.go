@@ -127,7 +127,7 @@ func TestParRegroupStraddlesHomeBoundary(t *testing.T) {
 		p := n.NewPacket(lo, lo+1, flit.VNRequest, flit.KindData)
 		n.NI(lo).Submit(p, true, n.Now())
 		q := n.NewPacket(lo+1, lo, flit.VNResponse, flit.KindData)
-		n.NI(lo + 1).Submit(q, true, n.Now())
+		n.NI(lo+1).Submit(q, true, n.Now())
 	}
 	run := func(workers, grain int) (string, int64) {
 		n := newOccupancyNet(t, workers, grain)

@@ -227,10 +227,9 @@ func TestSoakParallel(t *testing.T) {
 // runs under -race in the same target): every scheme on mesh and
 // torus on the sharded engine with per-component accounting charging
 // every cycle and a timeline sampler differencing the accountant at
-// window boundaries — full data-race coverage of the counter lanes,
-// the lane fold, and the fold-before-EndCycle ordering. At the end the
-// component view must reconcile with the float aggregate and the
-// sampler must have produced live power columns.
+// window boundaries — full data-race coverage of the per-router event
+// counters written by the workers and read by the sampler at EndCycle.
+// At the end the sampler must have produced live power columns.
 func TestSoakParallelEnergy(t *testing.T) {
 	fabrics := []struct {
 		topo          string
@@ -268,26 +267,6 @@ func TestSoakParallelEnergy(t *testing.T) {
 					t.Fatal("energy soak did not quiesce")
 				}
 
-				agg := n.Acct.Network()
-				comps := n.Acct.Components()
-				cls := comps.Classes()
-				const tol = 1e-9
-				for _, c := range []struct {
-					name     string
-					got, ref float64
-				}{
-					{"dynamic", cls.Dynamic, agg.Dynamic},
-					{"static", cls.Static, agg.Static},
-					{"overhead", cls.Overhead, agg.Overhead},
-				} {
-					d := c.got - c.ref
-					if d < 0 {
-						d = -d
-					}
-					if m := max(abs(c.got), abs(c.ref)); m > 0 && d/m > tol {
-						t.Errorf("%s: components %.12e vs aggregate %.12e", c.name, c.got, c.ref)
-					}
-				}
 				livePower := false
 				for _, sm := range sampler.Samples() {
 					for _, w := range sm.PowerW {
@@ -302,13 +281,6 @@ func TestSoakParallelEnergy(t *testing.T) {
 			})
 		}
 	}
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // TestSoakWithChecks is the tier-2 gate variant (Makefile `check`,

@@ -31,11 +31,15 @@ func newRig(t *testing.T, scheme config.Scheme) *rig {
 	cfg.Width, cfg.Height = 4, 4
 	m := mesh.New(4, 4)
 	rf := topo.Routing(topo.FromMesh(m))
-	ctrl := pg.New(scheme.UsesPowerGating(), 4, cfg.WakeupLatency, cfg.BreakEven)
+	pol, err := scheme.Policy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := pg.New(pol.Gates(), 4, cfg.WakeupLatency, cfg.BreakEven)
 	r := router.New(5, rf, &cfg, ctrl, nil)
 	col := stats.New(0, 0)
 	var fab *core.Fabric
-	if scheme.UsesPunch() {
+	if pol.Punches() {
 		fab = core.NewFabric(m, cfg.PunchHops, false, nil)
 	}
 	n := New(5, topo.FromMesh(m), &cfg, r, fab, col)

@@ -42,8 +42,8 @@ const SampleVersion = 2
 // PowerMeter provides cumulative per-component energy readings; the
 // Sampler differences them at window boundaries to produce power
 // columns. power.Accountant implements it. Readings must be current at
-// EndCycle (all tick engines settle accounting — including parallel
-// lane folds — before the bus closes the cycle).
+// EndCycle (all tick engines settle accounting before the bus closes
+// the cycle).
 type PowerMeter interface {
 	Components() power.ComponentBreakdown
 	CycleTime() float64

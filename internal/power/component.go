@@ -2,10 +2,9 @@ package power
 
 // Component identifies one energy-bearing router subsystem in the
 // DSENT-style per-component decomposition. Every joule the Accountant
-// charges is attributable to exactly one component; the per-component
-// totals reconcile with the aggregate Breakdown classes within float
-// tolerance (the aggregate model is retained as the regression oracle
-// for the paper's numbers — see ComponentBreakdown.Classes).
+// charges is attributable to exactly one component; the aggregate
+// Breakdown is the component totals summed by class (see
+// ComponentBreakdown.Classes).
 type Component int
 
 // The modelled components. The first four (buffers, crossbar,
@@ -69,11 +68,9 @@ func ComponentNames() []string {
 type ComponentBreakdown [NumComponents]Breakdown
 
 // Classes sums the components into the aggregate three-class Breakdown
-// (dynamic / static / overhead). The result reconciles with the
-// float-accumulated aggregate oracle within rounding tolerance: the
-// oracle accumulates per event in simulation order, Classes multiplies
-// folded counters once, so the two differ only by float summation
-// error (the differential test in internal/experiments bounds it).
+// (dynamic / static / overhead), in component order. This is the
+// aggregate the Accountant reports (Accountant.Network), so the two
+// views agree exactly.
 func (b *ComponentBreakdown) Classes() Breakdown {
 	var t Breakdown
 	for i := range b {

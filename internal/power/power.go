@@ -5,18 +5,14 @@
 // crossbar traversal, link traversal), static energy per cycle per
 // powered-on router, and power-gating overhead per sleep/wake transition.
 //
-// The model keeps two reconciled views of the same charges:
-//
-//   - The aggregate Breakdown (dynamic / static / overhead) is
-//     accumulated per event in per-router float accumulators, in
-//     simulation order — the original model, retained as the regression
-//     oracle for the paper's aggregate numbers (the seed-locked golden
-//     suite pins it).
-//   - The per-component ComponentBreakdown (buffers, crossbar,
-//     allocators, clock tree, links, punch channel, WU handshake, gate
-//     overhead) is derived on demand from the integer event counters.
-//     Integer sums are order-insensitive, so this view is bit-identical
-//     across the serial, full-walk, and sharded parallel engines.
+// The ledger is one set of integer event counters per router. Each
+// charge increments exactly one counter; the per-component
+// ComponentBreakdown (buffers, crossbar, allocators, clock tree, links,
+// punch channel, WU handshake, gate overhead) multiplies the summed
+// counts by the calibrated energies, and the aggregate Breakdown
+// (dynamic / static / overhead) is that breakdown summed by class.
+// Integer sums are order-insensitive, so both views are bit-identical
+// across the serial, full-walk, and sharded parallel engines.
 //
 // The constants are calibrated so that, at PARSEC-like loads on the
 // paper's minimal 8x8 configuration, static power is ~64% of total router
@@ -58,9 +54,8 @@ type Constants struct {
 
 	// StaticFracBuffer..StaticFracClock apportion PStaticRouter across
 	// the leaking components (input buffers, crossbar, allocators, clock
-	// tree) for the per-component view. They must sum to 1 so the
-	// component static energies reconcile with the aggregate oracle; the
-	// apportionment itself never changes any aggregate number.
+	// tree) for the per-component view. They must sum to 1 so a
+	// powered-on router-cycle leaks exactly PStaticRouter * CycleTime.
 	StaticFracBuffer   float64
 	StaticFracCrossbar float64
 	StaticFracAlloc    float64
@@ -167,19 +162,17 @@ func (b *Breakdown) Add(o Breakdown) {
 	b.Overhead += o.Overhead
 }
 
-// Event identifies one kind of component-tagged charge. Each emission
-// site in the simulator maps to one or more events; each event maps to
-// exactly one Component (see eventComponent), which is what makes the
-// counter set sufficient to derive the per-component breakdown.
+// Event identifies one kind of counted charge. Each emission site in
+// the simulator maps to exactly one event, and Components derives every
+// component's energy from the event counts, so the counters are the
+// whole energy ledger.
 type Event int
 
 // The counted events. The trailing two are state events (router-cycles
 // in a power state), the rest are occurrence events.
 const (
 	EvBufferWrite Event = iota
-	EvBufferRead
-	EvArbitration
-	EvCrossbar
+	EvTraverse          // switch traversal: buffer read + arbitration + crossbar
 	EvLink
 	EvPunchHop
 	EvWakeupSig
@@ -189,154 +182,79 @@ const (
 	numEvents
 )
 
-// eventCounters is one set of integer event counters, indexed by Event.
-// Integer sums are order-insensitive, which is what lets the sharded
-// parallel tick engine accumulate them in per-worker lanes and fold
-// them afterwards while staying bit-identical to the serial engine.
+// eventCounters is one router's integer event counters, indexed by
+// Event.
 type eventCounters [numEvents]int64
 
-// add accumulates o into c.
-func (c *eventCounters) add(o *eventCounters) {
-	for ev := range c {
-		c[ev] += o[ev]
-	}
-}
-
-// counterLane is one worker's counter lane, padded so lanes on adjacent
-// cache lines do not false-share under the parallel engine.
-type counterLane struct {
-	eventCounters
-	_ [64]byte
-}
-
-// Accountant accumulates energy for a network of routers. It is not
-// concurrency-safe in general; the simulator drives it from the single
-// cycle loop. The exception is the sharded parallel tick engine: after
-// SetLanes, the integer event counters are written to per-worker lanes
-// (each router's events always come from the worker that owns it, per
-// laneOf), the per-router float accumulators stay owner-exclusive by
-// construction, and the coordinator calls FoldLanes between cycles.
+// Accountant accumulates energy for a network of routers as per-router
+// integer event counters. It is not concurrency-safe in general; the
+// simulator drives it from the single cycle loop. Under the sharded
+// parallel tick engine a router's counters are written only by the
+// worker that steps that router, and integer sums are order-insensitive,
+// so every engine ends with the same counts.
 type Accountant struct {
 	C       Constants
 	enabled bool
 
-	perRouter []Breakdown
+	perRouter []eventCounters
 	cycles    int64 // enabled cycles accumulated
-
-	// Folded event counters (for reporting, the per-component view, and
-	// tests). With lanes installed these are only current after
-	// FoldLanes.
-	counts eventCounters
-
-	lanes  []counterLane
-	laneOf []int32 // router -> lane; nil selects the direct (serial) path
 }
 
 // NewAccountant returns an accountant for n routers using constants c.
 // Accounting starts disabled (warmup); call SetEnabled(true) at the start
 // of the measurement window.
 func NewAccountant(n int, c Constants) *Accountant {
-	return &Accountant{C: c, perRouter: make([]Breakdown, n)}
+	return &Accountant{C: c, perRouter: make([]eventCounters, n)}
 }
 
 // SetEnabled turns accounting on or off (off during warmup and drain of
 // unmeasured traffic).
 func (a *Accountant) SetEnabled(v bool) { a.enabled = v }
 
-// SetLanes installs nLanes per-worker counter lanes with the given
-// router-to-lane ownership map (nil laneOf restores the direct serial
-// path). The parallel engine calls it once at construction; each lane
-// must only ever be written by its owning worker (or by the coordinator
-// outside worker sections), and FoldLanes must run before anything reads
-// the folded counters.
-func (a *Accountant) SetLanes(laneOf []int32, nLanes int) {
-	if laneOf == nil || nLanes <= 0 {
-		a.laneOf, a.lanes = nil, nil
-		return
-	}
-	a.laneOf = laneOf
-	a.lanes = make([]counterLane, nLanes)
-}
-
-// FoldLanes drains every lane into the folded counters. Integer
-// addition commutes, so the fold order cannot affect the result; the
-// coordinator calls this once per cycle with all workers quiescent.
-func (a *Accountant) FoldLanes() {
-	for i := range a.lanes {
-		a.counts.add(&a.lanes[i].eventCounters)
-		a.lanes[i].eventCounters = eventCounters{}
-	}
-}
-
-// counters returns the counter set router r's events accumulate into:
-// the folded set on the serial path, the owning worker's lane once
-// lanes are installed.
-func (a *Accountant) counters(r int) *eventCounters {
-	if a.laneOf == nil {
-		return &a.counts
-	}
-	return &a.lanes[a.laneOf[r]].eventCounters
-}
-
 // Enabled reports whether accounting is active.
 func (a *Accountant) Enabled() bool { return a.enabled }
 
-// Count returns the folded count of event ev. With lanes installed the
-// value is current only after FoldLanes.
-func (a *Accountant) Count(ev Event) int64 { return a.counts[ev] }
+// charge adds n occurrences of ev at router r while accounting is on.
+func (a *Accountant) charge(r int, ev Event, n int64) {
+	if a.enabled {
+		a.perRouter[r][ev] += n
+	}
+}
+
+// totals sums the per-router counters.
+func (a *Accountant) totals() eventCounters {
+	var t eventCounters
+	for i := range a.perRouter {
+		for ev, v := range &a.perRouter[i] {
+			t[ev] += v
+		}
+	}
+	return t
+}
+
+// Count returns the network-wide count of event ev.
+func (a *Accountant) Count(ev Event) int64 {
+	t := a.totals()
+	return t[ev]
+}
 
 // TickStatic charges one cycle of leakage for router r in state s, and
 // must be called exactly once per router per cycle. Powered-on (and
 // waking) routers additionally draw the clock tree's dynamic energy
 // when the calibration models it.
-func (a *Accountant) TickStatic(r int, s RouterState) {
-	if !a.enabled {
-		return
-	}
-	switch s {
-	case Gated:
-		a.counters(r)[EvGatedCycle]++
-		if a.C.GatedLeakFrac > 0 {
-			a.perRouter[r].Static += a.C.GatedLeakFrac * a.C.EStaticCycle()
-		}
-	default:
-		a.counters(r)[EvOnCycle]++
-		a.perRouter[r].Static += a.C.EStaticCycle()
-		if a.C.EClockCycle != 0 {
-			a.perRouter[r].Dynamic += a.C.EClockCycle
-		}
-	}
-}
+func (a *Accountant) TickStatic(r int, s RouterState) { a.TickStaticN(r, s, 1) }
 
 // TickStaticN charges n cycles of leakage for router r in state s, as if
 // TickStatic had been called n times. The active-set scheduler uses it to
-// catch a skipped (parked) router up; the per-router float accumulators
-// are advanced by n individual additions so the result stays
-// bit-identical to the per-cycle full-walk path.
+// catch a skipped (parked) router up.
 func (a *Accountant) TickStaticN(r int, s RouterState, n int64) {
-	if !a.enabled || n <= 0 {
+	if n <= 0 {
 		return
 	}
-	switch s {
-	case Gated:
-		a.counters(r)[EvGatedCycle] += n
-		if a.C.GatedLeakFrac > 0 {
-			e := a.C.GatedLeakFrac * a.C.EStaticCycle()
-			for i := int64(0); i < n; i++ {
-				a.perRouter[r].Static += e
-			}
-		}
-	default:
-		a.counters(r)[EvOnCycle] += n
-		e := a.C.EStaticCycle()
-		for i := int64(0); i < n; i++ {
-			a.perRouter[r].Static += e
-		}
-		if a.C.EClockCycle != 0 {
-			for i := int64(0); i < n; i++ {
-				a.perRouter[r].Dynamic += a.C.EClockCycle
-			}
-		}
+	if s == Gated {
+		a.charge(r, EvGatedCycle, n)
+	} else {
+		a.charge(r, EvOnCycle, n)
 	}
 }
 
@@ -353,95 +271,48 @@ func (a *Accountant) Cycles() int64 { return a.cycles }
 
 // BufferWrite charges a flit buffer write at router r (component:
 // input buffers).
-func (a *Accountant) BufferWrite(r int) {
-	if !a.enabled {
-		return
-	}
-	a.counters(r)[EvBufferWrite]++
-	a.perRouter[r].Dynamic += a.C.EBufferWrite
-}
+func (a *Accountant) BufferWrite(r int) { a.charge(r, EvBufferWrite, 1) }
 
 // Traverse charges a flit's buffer read, arbitration, and crossbar
 // traversal at router r — the switch-traversal event, spanning the
 // buffer, allocator, and crossbar components.
-func (a *Accountant) Traverse(r int) {
-	if !a.enabled {
-		return
-	}
-	c := a.counters(r)
-	c[EvBufferRead]++
-	c[EvArbitration]++
-	c[EvCrossbar]++
-	a.perRouter[r].Dynamic += a.C.EBufferRead + a.C.EArbitration + a.C.ECrossbar
-}
+func (a *Accountant) Traverse(r int) { a.charge(r, EvTraverse, 1) }
 
 // LinkHop charges a flit's traversal of one inter-router link, attributed
 // to the sending router r (component: links).
-func (a *Accountant) LinkHop(r int) {
-	if !a.enabled {
-		return
-	}
-	a.counters(r)[EvLink]++
-	a.perRouter[r].Dynamic += a.C.ELink
-}
+func (a *Accountant) LinkHop(r int) { a.charge(r, EvLink, 1) }
 
 // PunchHop charges one cycle of punch-channel assertion leaving router r
 // (component: punch channel; overhead class).
-func (a *Accountant) PunchHop(r int) {
-	if !a.enabled {
-		return
-	}
-	a.counters(r)[EvPunchHop]++
-	a.perRouter[r].Overhead += a.C.EPunchHop
-}
+func (a *Accountant) PunchHop(r int) { a.charge(r, EvPunchHop, 1) }
 
 // WakeupSignal charges one WU/PG handshake assertion at router r
 // (component: wakeup signalling; overhead class).
-func (a *Accountant) WakeupSignal(r int) {
-	if !a.enabled {
-		return
-	}
-	a.counters(r)[EvWakeupSig]++
-	a.perRouter[r].Overhead += a.C.EWakeupSignal
-}
+func (a *Accountant) WakeupSignal(r int) { a.charge(r, EvWakeupSig, 1) }
 
 // GatingEvent charges the sleep/wake round-trip overhead of one
 // power-gating event at router r (charged when the router begins
 // waking; component: gate).
-func (a *Accountant) GatingEvent(r int) {
-	if !a.enabled {
-		return
-	}
-	a.counters(r)[EvGating]++
-	a.perRouter[r].Overhead += a.C.EGatingOverhead()
-}
+func (a *Accountant) GatingEvent(r int) { a.charge(r, EvGating, 1) }
 
-// Router returns router r's accumulated aggregate breakdown.
-func (a *Accountant) Router(r int) Breakdown { return a.perRouter[r] }
-
-// Network returns the network-wide aggregate breakdown (the float
-// oracle, accumulated in simulation order).
+// Network returns the network-wide aggregate breakdown: the component
+// breakdown summed into its three classes.
 func (a *Accountant) Network() Breakdown {
-	var total Breakdown
-	for i := range a.perRouter {
-		total.Add(a.perRouter[i])
-	}
-	return total
+	b := a.Components()
+	return b.Classes()
 }
 
-// Components returns the network-wide per-component breakdown, derived
-// from the folded integer event counters and the calibration. With
-// lanes installed the result is current only after FoldLanes (the
-// parallel engine folds once per cycle, so post-run and end-of-cycle
-// reads always see folded counters). Being a pure function of integer
-// counters, the result is bit-identical across tick engines.
+// Components returns the network-wide per-component breakdown: the
+// per-router counters are summed, then each count is multiplied once by
+// its calibrated energy. Being a pure function of integer counters, the
+// result is bit-identical across tick engines.
 func (a *Accountant) Components() ComponentBreakdown {
 	var b ComponentBreakdown
 	c := a.C
-	n := &a.counts
-	b[CompBuffer].Dynamic = float64(n[EvBufferWrite])*c.EBufferWrite + float64(n[EvBufferRead])*c.EBufferRead
-	b[CompCrossbar].Dynamic = float64(n[EvCrossbar]) * c.ECrossbar
-	b[CompAlloc].Dynamic = float64(n[EvArbitration]) * c.EArbitration
+	n := a.totals()
+	b[CompBuffer].Dynamic = float64(n[EvBufferWrite])*c.EBufferWrite + float64(n[EvTraverse])*c.EBufferRead
+	b[CompCrossbar].Dynamic = float64(n[EvTraverse]) * c.ECrossbar
+	b[CompAlloc].Dynamic = float64(n[EvTraverse]) * c.EArbitration
 	b[CompClock].Dynamic = float64(n[EvOnCycle]) * c.EClockCycle
 	b[CompLink].Dynamic = float64(n[EvLink]) * c.ELink
 

@@ -20,16 +20,15 @@ func TestGatingForBreakEvenCyclesIsEnergyNeutral(t *testing.T) {
 
 	// Router A: stays on for BET cycles. Router B: gated for BET cycles,
 	// then charged one gating event. Net static+overhead must be equal.
-	a := NewAccountant(2, c)
-	a.SetEnabled(true)
+	on, gated := NewAccountant(1, c), NewAccountant(1, c)
+	on.SetEnabled(true)
+	gated.SetEnabled(true)
 	for i := 0; i < c.BreakEvenCycles; i++ {
-		a.TickStatic(0, On)
-		a.TickStatic(1, Gated)
-		a.TickCycle()
+		on.TickStatic(0, On)
+		gated.TickStatic(0, Gated)
 	}
-	a.GatingEvent(1)
-	eA := a.Router(0)
-	eB := a.Router(1)
+	gated.GatingEvent(0)
+	eA, eB := on.Network(), gated.Network()
 	if math.Abs((eA.Static+eA.Overhead)-(eB.Static+eB.Overhead)) > 1e-18 {
 		t.Errorf("break-even violated: on=%g gated=%g", eA.Static+eA.Overhead, eB.Static+eB.Overhead)
 	}
@@ -38,14 +37,22 @@ func TestGatingForBreakEvenCyclesIsEnergyNeutral(t *testing.T) {
 func TestDisabledAccountantChargesNothing(t *testing.T) {
 	a := NewAccountant(1, DefaultConstants())
 	a.TickStatic(0, On)
+	a.TickStatic(0, Gated)
+	a.TickStaticN(0, On, 5)
 	a.BufferWrite(0)
 	a.Traverse(0)
 	a.LinkHop(0)
 	a.PunchHop(0)
+	a.WakeupSignal(0)
 	a.GatingEvent(0)
 	a.TickCycle()
-	if tot := a.Network().Total(); tot != 0 {
-		t.Errorf("disabled accountant accumulated %g J", tot)
+	if got := a.Components(); got != (ComponentBreakdown{}) {
+		t.Errorf("disabled accountant accumulated %+v", got)
+	}
+	for ev := Event(0); ev < numEvents; ev++ {
+		if a.Count(ev) != 0 {
+			t.Errorf("disabled accountant counted event %d", ev)
+		}
 	}
 	if a.Cycles() != 0 {
 		t.Error("disabled accountant counted cycles")
@@ -60,21 +67,21 @@ func TestEventEnergies(t *testing.T) {
 	a.Traverse(0)
 	a.LinkHop(0)
 	want := c.EBufferWrite + c.EBufferRead + c.EArbitration + c.ECrossbar + c.ELink
-	if got := a.Router(0).Dynamic; math.Abs(got-want) > 1e-18 {
+	if got := a.Network().Dynamic; math.Abs(got-want) > 1e-18 {
 		t.Errorf("dynamic = %g, want %g", got, want)
 	}
-	if a.Count(EvBufferWrite) != 1 || a.Count(EvBufferRead) != 1 ||
-		a.Count(EvArbitration) != 1 || a.Count(EvCrossbar) != 1 || a.Count(EvLink) != 1 {
+	if a.Count(EvBufferWrite) != 1 || a.Count(EvTraverse) != 1 || a.Count(EvLink) != 1 {
 		t.Error("event counters")
 	}
 }
 
 func TestWakingLeaksLikeOn(t *testing.T) {
-	a := NewAccountant(2, DefaultConstants())
-	a.SetEnabled(true)
-	a.TickStatic(0, On)
-	a.TickStatic(1, WakingUp)
-	if a.Router(0).Static != a.Router(1).Static {
+	on, waking := NewAccountant(1, DefaultConstants()), NewAccountant(1, DefaultConstants())
+	on.SetEnabled(true)
+	waking.SetEnabled(true)
+	on.TickStatic(0, On)
+	waking.TickStatic(0, WakingUp)
+	if on.Components() != waking.Components() {
 		t.Error("a waking router must leak like a powered-on one")
 	}
 }
@@ -86,7 +93,7 @@ func TestGatedLeakFraction(t *testing.T) {
 	a.SetEnabled(true)
 	a.TickStatic(0, Gated)
 	want := 0.1 * c.EStaticCycle()
-	if got := a.Router(0).Static; math.Abs(got-want) > 1e-20 {
+	if got := a.Network().Static; math.Abs(got-want) > 1e-20 {
 		t.Errorf("gated leak = %g, want %g", got, want)
 	}
 }
@@ -165,8 +172,8 @@ func TestPresetRegistry(t *testing.T) {
 		if c.CycleTime <= 0 || c.PStaticRouter <= 0 {
 			t.Errorf("preset %q has degenerate constants: %+v", n, c)
 		}
-		// The static apportionment must sum to 1 so the per-component
-		// static energies reconcile with the aggregate oracle.
+		// The static apportionment must sum to 1 so a powered-on
+		// router-cycle leaks exactly PStaticRouter * CycleTime.
 		sum := c.StaticFracBuffer + c.StaticFracCrossbar + c.StaticFracAlloc + c.StaticFracClock
 		if math.Abs(sum-1) > 1e-12 {
 			t.Errorf("preset %q static fractions sum to %g, want 1", n, sum)
@@ -203,109 +210,127 @@ func TestComponentNames(t *testing.T) {
 	}
 }
 
-// chargeScript drives a fixed mixed workload against an accountant:
-// every event kind on a spread of routers, so both views accumulate
-// nontrivial values in every class.
-func chargeScript(a *Accountant, routers int) {
-	a.SetEnabled(true)
-	for cyc := 0; cyc < 200; cyc++ {
-		for r := 0; r < routers; r++ {
-			st := On
-			if (r+cyc)%3 == 0 {
-				st = Gated
-			}
-			a.TickStatic(r, st)
-			if (r+cyc)%2 == 0 {
-				a.BufferWrite(r)
-			}
-			if (r+cyc)%4 == 0 {
-				a.Traverse(r)
-				a.LinkHop(r)
-			}
-			if (r+cyc)%7 == 0 {
-				a.PunchHop(r)
-			}
-			if (r+cyc)%11 == 0 {
-				a.WakeupSignal(r)
-			}
-			if (r+cyc)%13 == 0 {
-				a.GatingEvent(r)
-			}
-		}
-		a.TickCycle()
-	}
+// cell addresses one (component, class) entry of a ComponentBreakdown.
+type cell struct {
+	comp  Component
+	class int // 0 dynamic, 1 static, 2 overhead
 }
 
-// TestComponentsReconcileWithAggregate is the unit-level form of the
-// aggregate-oracle differential: the per-component class sums must
-// match the float-accumulated aggregate within summation tolerance,
-// for every preset (including ones with clock dynamic energy and
-// residual gated leak).
-func TestComponentsReconcileWithAggregate(t *testing.T) {
+func (b *ComponentBreakdown) at(x cell) float64 {
+	e := b[x.comp]
+	return [3]float64{e.Dynamic, e.Static, e.Overhead}[x.class]
+}
+
+// chargeCase is one charge and the joules it must land in each cell.
+type chargeCase struct {
+	name   string
+	charge func(a *Accountant, r int)
+	want   map[cell]float64
+}
+
+// TestChargesLandInOneComponent is the per-event ledger check: for
+// every preset, each charge method (and TickStatic in each power state)
+// must put exactly its hand-computed joules into exactly the expected
+// (component, class) cells and nothing anywhere else, whichever router
+// it is charged to.
+func TestChargesLandInOneComponent(t *testing.T) {
+	const dyn, stat, ovh = 0, 1, 2
 	for _, name := range Presets() {
 		c, _ := PresetByName(name)
+		leak := c.PStaticRouter * c.CycleTime
+		cases := []chargeCase{
+			{"BufferWrite", (*Accountant).BufferWrite, map[cell]float64{
+				{CompBuffer, dyn}: c.EBufferWrite,
+			}},
+			{"Traverse", (*Accountant).Traverse, map[cell]float64{
+				{CompBuffer, dyn}:   c.EBufferRead,
+				{CompAlloc, dyn}:    c.EArbitration,
+				{CompCrossbar, dyn}: c.ECrossbar,
+			}},
+			{"LinkHop", (*Accountant).LinkHop, map[cell]float64{
+				{CompLink, dyn}: c.ELink,
+			}},
+			{"PunchHop", (*Accountant).PunchHop, map[cell]float64{
+				{CompPunch, ovh}: c.EPunchHop,
+			}},
+			{"WakeupSignal", (*Accountant).WakeupSignal, map[cell]float64{
+				{CompWakeup, ovh}: c.EWakeupSignal,
+			}},
+			{"GatingEvent", (*Accountant).GatingEvent, map[cell]float64{
+				{CompGate, ovh}: float64(c.BreakEvenCycles) * leak,
+			}},
+		}
+		powered := map[cell]float64{
+			{CompBuffer, stat}:   c.StaticFracBuffer * leak,
+			{CompCrossbar, stat}: c.StaticFracCrossbar * leak,
+			{CompAlloc, stat}:    c.StaticFracAlloc * leak,
+			{CompClock, stat}:    c.StaticFracClock * leak,
+			{CompClock, dyn}:     c.EClockCycle,
+		}
+		for _, st := range []struct {
+			name string
+			s    RouterState
+			want map[cell]float64
+		}{
+			{"On", On, powered},
+			{"WakingUp", WakingUp, powered},
+			{"Gated", Gated, map[cell]float64{{CompGate, stat}: c.GatedLeakFrac * leak}},
+		} {
+			s := st.s
+			cases = append(cases, chargeCase{"TickStatic/" + st.name, func(a *Accountant, r int) { a.TickStatic(r, s) }, st.want})
+		}
+
 		t.Run(name, func(t *testing.T) {
-			a := NewAccountant(16, c)
-			chargeScript(a, 16)
-			comp := a.Components()
-			got, want := comp.Classes(), a.Network()
-			for _, pair := range []struct {
-				label     string
-				got, want float64
-			}{
-				{"dynamic", got.Dynamic, want.Dynamic},
-				{"static", got.Static, want.Static},
-				{"overhead", got.Overhead, want.Overhead},
-				{"total", comp.Total(), want.Total()},
-			} {
-				if relDiff(pair.got, pair.want) > 1e-9 {
-					t.Errorf("%s: components=%g aggregate=%g", pair.label, pair.got, pair.want)
+			for _, tc := range cases {
+				for _, r := range []int{0, 2} {
+					a := NewAccountant(3, c)
+					a.SetEnabled(true)
+					tc.charge(a, r)
+					got := a.Components()
+					var wantClasses [3]float64
+					for comp := Component(0); comp < NumComponents; comp++ {
+						for class := 0; class < 3; class++ {
+							x := cell{comp, class}
+							g, w := got.at(x), tc.want[x]
+							wantClasses[class] += w
+							if w == 0 && g != 0 || w != 0 && math.Abs(g-w) > 1e-12*math.Abs(w) {
+								t.Errorf("%s at router %d: %v class %d = %g J, want %g J", tc.name, r, comp, class, g, w)
+							}
+						}
+					}
+					net := a.Network()
+					for class, g := range [3]float64{net.Dynamic, net.Static, net.Overhead} {
+						if w := wantClasses[class]; math.Abs(g-w) > 1e-12*math.Abs(w) {
+							t.Errorf("%s at router %d: class %d total = %g J, want %g J", tc.name, r, class, g, w)
+						}
+					}
 				}
 			}
 		})
 	}
 }
 
-func relDiff(a, b float64) float64 {
-	d := math.Abs(a - b)
-	if m := math.Max(math.Abs(a), math.Abs(b)); m > 0 {
-		return d / m
-	}
-	return d
-}
-
-// TestLaneFoldBitIdentical is the table-driven lane-folding proof at
-// the accountant level: the same charge stream applied through 2/4/8
-// lanes (with routers distributed round-robin) folds to counters — and
-// therefore a per-component breakdown — bit-identical to the serial
-// path.
-func TestLaneFoldBitIdentical(t *testing.T) {
-	const routers = 16
-	serial := NewAccountant(routers, DefaultConstants())
-	chargeScript(serial, routers)
-	want := serial.Components()
-
-	for _, lanes := range []int{2, 4, 8} {
-		a := NewAccountant(routers, DefaultConstants())
-		laneOf := make([]int32, routers)
-		for r := range laneOf {
-			laneOf[r] = int32(r % lanes)
-		}
-		a.SetLanes(laneOf, lanes)
-		chargeScript(a, routers)
-		a.FoldLanes()
-		if got := a.Components(); got != want {
-			t.Errorf("lanes=%d: per-component breakdown diverged from serial\n got=%+v\nwant=%+v", lanes, got, want)
-		}
-		for ev := Event(0); ev < numEvents; ev++ {
-			if a.Count(ev) != serial.Count(ev) {
-				t.Errorf("lanes=%d: event %d count %d != serial %d", lanes, ev, a.Count(ev), serial.Count(ev))
+func TestTickStaticNEqualsRepeatedTickStatic(t *testing.T) {
+	for _, name := range Presets() {
+		c, _ := PresetByName(name)
+		for _, s := range []RouterState{On, WakingUp, Gated} {
+			for _, n := range []int64{0, 1, 7, 1000} {
+				batched, single := NewAccountant(2, c), NewAccountant(2, c)
+				batched.SetEnabled(true)
+				single.SetEnabled(true)
+				batched.TickStaticN(1, s, n)
+				for i := int64(0); i < n; i++ {
+					single.TickStatic(1, s)
+				}
+				if batched.Components() != single.Components() {
+					t.Errorf("%s: TickStaticN(state %d, %d) != %d TickStatic calls", name, s, n, n)
+				}
+				for ev := Event(0); ev < numEvents; ev++ {
+					if batched.Count(ev) != single.Count(ev) {
+						t.Errorf("%s: state %d n=%d: event %d count %d != %d", name, s, n, ev, batched.Count(ev), single.Count(ev))
+					}
+				}
 			}
-		}
-		// Folding again must be a no-op (lanes were zeroed).
-		a.FoldLanes()
-		if got := a.Components(); got != want {
-			t.Errorf("lanes=%d: second fold changed the breakdown", lanes)
 		}
 	}
 }

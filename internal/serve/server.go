@@ -13,12 +13,12 @@ import (
 
 // Options configures a Server. Zero fields take the defaults noted.
 type Options struct {
-	Workers    int    // simulation worker pool size (default 4); also bounds concurrent streams
-	QueueDepth int    // job queue bound; a full queue rejects with 429 (default 64)
-	CacheSize  int    // completed results retained in the LRU cache (default 1024)
-	StatePath  string // campaign state file, persisted on Shutdown ("" = in-memory only)
+	Workers    int     // simulation worker pool size (default 4); also bounds concurrent streams
+	QueueDepth int     // job queue bound; a full queue rejects with 429 (default 64)
+	CacheSize  int     // completed results retained in the LRU cache (default 1024)
+	StatePath  string  // campaign state file, persisted on Shutdown ("" = in-memory only)
 	RateLimit  float64 // per-client requests/second (0 = unlimited)
-	RateBurst  int    // per-client burst (default 16, only with RateLimit > 0)
+	RateBurst  int     // per-client burst (default 16, only with RateLimit > 0)
 
 	// now overrides the limiter's clock (tests).
 	now func() time.Time

@@ -25,19 +25,19 @@ func Mesh(t Topology) *mesh.Mesh {
 	return nil
 }
 
-func (t *meshTopo) Kind() Kind                                    { return KindMesh }
-func (t *meshTopo) Width() int                                    { return t.m.Width() }
-func (t *meshTopo) Height() int                                   { return t.m.Height() }
-func (t *meshTopo) NumNodes() int                                 { return t.m.NumNodes() }
-func (t *meshTopo) Contains(id mesh.NodeID) bool                  { return t.m.Contains(id) }
-func (t *meshTopo) CoordOf(id mesh.NodeID) mesh.Coord             { return t.m.CoordOf(id) }
-func (t *meshTopo) NodeAt(c mesh.Coord) mesh.NodeID               { return t.m.NodeAt(c) }
+func (t *meshTopo) Kind() Kind                        { return KindMesh }
+func (t *meshTopo) Width() int                        { return t.m.Width() }
+func (t *meshTopo) Height() int                       { return t.m.Height() }
+func (t *meshTopo) NumNodes() int                     { return t.m.NumNodes() }
+func (t *meshTopo) Contains(id mesh.NodeID) bool      { return t.m.Contains(id) }
+func (t *meshTopo) CoordOf(id mesh.NodeID) mesh.Coord { return t.m.CoordOf(id) }
+func (t *meshTopo) NodeAt(c mesh.Coord) mesh.NodeID   { return t.m.NodeAt(c) }
 func (t *meshTopo) Neighbor(id mesh.NodeID, d mesh.Direction) mesh.NodeID {
 	return t.m.Neighbor(id, d)
 }
-func (t *meshTopo) HopDistance(a, b mesh.NodeID) int              { return t.m.HopDistance(a, b) }
-func (t *meshTopo) Diameter() int                                 { return (t.m.Width() - 1) + (t.m.Height() - 1) }
-func (t *meshTopo) Links() []mesh.Link                            { return t.m.Links() }
+func (t *meshTopo) HopDistance(a, b mesh.NodeID) int { return t.m.HopDistance(a, b) }
+func (t *meshTopo) Diameter() int                    { return (t.m.Width() - 1) + (t.m.Height() - 1) }
+func (t *meshTopo) Links() []mesh.Link               { return t.m.Links() }
 func (t *meshTopo) NodesWithin(id mesh.NodeID, k int) []mesh.NodeID {
 	return t.m.NodesWithin(id, k)
 }
@@ -77,7 +77,7 @@ func (r *xyRouting) NextHop(cur, dst mesh.NodeID) (mesh.NodeID, error) {
 	return n, nil
 }
 
-func (r *xyRouting) LegalTurn(in, out mesh.Direction) bool { return routing.LegalTurn(in, out) }
-func (r *xyRouting) VCClasses() int                        { return 1 }
+func (r *xyRouting) LegalTurn(in, out mesh.Direction) bool               { return routing.LegalTurn(in, out) }
+func (r *xyRouting) VCClasses() int                                      { return 1 }
 func (r *xyRouting) ClassFor(cur, dst mesh.NodeID, d mesh.Direction) int { return 0 }
-func (r *xyRouting) String() string                        { return "XY" }
+func (r *xyRouting) String() string                                      { return "XY" }

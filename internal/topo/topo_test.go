@@ -175,7 +175,10 @@ func TestRingBasics(t *testing.T) {
 // router's independent decision extends the same path (consistency —
 // what makes Path/Ahead walks well defined).
 func TestDORRoutesAreMinimalAndConsistent(t *testing.T) {
-	for _, tc := range []struct{ name string; w, h int }{
+	for _, tc := range []struct {
+		name string
+		w, h int
+	}{
 		{"torus", 4, 4}, {"torus", 5, 3}, {"torus", 2, 2}, {"ring", 8, 1}, {"ring", 5, 1}, {"ring", 2, 1},
 	} {
 		rf := mustBuild(t, tc.name, tc.w, tc.h)
@@ -212,7 +215,10 @@ func TestDORRoutesAreMinimalAndConsistent(t *testing.T) {
 // leaving the dateline column/row, so each class's dependency chain
 // around the ring is broken.
 func TestDatelineClasses(t *testing.T) {
-	for _, tc := range []struct{ name string; w, h int }{
+	for _, tc := range []struct {
+		name string
+		w, h int
+	}{
 		{"torus", 4, 4}, {"torus", 5, 3}, {"ring", 8, 1}, {"ring", 5, 1},
 	} {
 		rf := mustBuild(t, tc.name, tc.w, tc.h)

@@ -324,25 +324,6 @@ func EncodePunchChannel(spec TopologySpec, r NodeID, dir Direction, hops int) (*
 	return core.EncodeChannelOn(rf, r, dir, hops), nil
 }
 
-// EncodePunchChannelMesh is the pre-TopologySpec mesh-only encoder.
-// Directions: 0=N (Y-), 1=S (Y+), 2=E (X+), 3=W (X-).
-//
-// Deprecated: use EncodePunchChannel with a TopologySpec and the typed
-// DirN/DirS/DirE/DirW constants.
-func EncodePunchChannelMesh(width, height int, r NodeID, dir int, hops int) *PunchChannelEncoding {
-	return core.EncodeChannel(mesh.New(width, height), r, mesh.Direction(dir), hops)
-}
-
-// EncodePunchChannelOn is EncodePunchChannel with the fabric spelled
-// out as separate arguments and a raw-int direction.
-//
-// Deprecated: use EncodePunchChannel with a TopologySpec and the typed
-// DirN/DirS/DirE/DirW constants.
-func EncodePunchChannelOn(topology string, width, height int, r NodeID, dir int, hops int) (*PunchChannelEncoding, error) {
-	return EncodePunchChannel(TopologySpec{Topology: topology, Width: width, Height: height},
-		r, Direction(dir), hops)
-}
-
 // Experiments re-exports the per-figure drivers for programmatic use.
 // See the cmd/powerpunch CLI for the command-line interface.
 type (

@@ -67,15 +67,6 @@ func TestPublicEncoding(t *testing.T) {
 		t.Fatalf("zero spec != explicit 8x8 mesh: %d/%d vs %d/%d",
 			len(enc.Codes), enc.WidthBits, len(explicit.Codes), explicit.WidthBits)
 	}
-	// Deprecated wrappers must agree with the merged entry point.
-	old := EncodePunchChannelMesh(8, 8, 27, 2, 3)
-	if len(old.Codes) != len(enc.Codes) || old.WidthBits != enc.WidthBits {
-		t.Fatalf("EncodePunchChannelMesh diverged: %+v", old)
-	}
-	on, err := EncodePunchChannelOn("torus", 8, 8, 27, 2, 3)
-	if err != nil || on == nil || len(on.Codes) == 0 {
-		t.Fatalf("EncodePunchChannelOn: %v %+v", err, on)
-	}
 }
 
 func TestPublicPatterns(t *testing.T) {
