@@ -81,8 +81,9 @@ api: build
 	$(GO) doc -all . > API.txt
 
 apicheck: build
-	@$(GO) doc -all . > /tmp/api_new.txt; \
-	if ! diff -u API.txt /tmp/api_new.txt; then \
+	@new=$$(mktemp) || exit 1; trap 'rm -f "$$new"' EXIT; \
+	$(GO) doc -all . > "$$new"; \
+	if ! diff -u API.txt "$$new"; then \
 		echo "apicheck: exported API drifted from API.txt (run 'make api' and commit if intended)"; \
 		exit 1; \
 	fi
@@ -100,12 +101,12 @@ check: vet test race soak soak-obs soak-par soak-cmp soak-serve apicheck bench-t
 # Benchmark baseline maintenance. `make bench` runs the locked tick
 # benchmarks (per scheme and load point, active-set and full-walk, with
 # -benchmem) and writes BENCH_<today>.json; commit it to move the
-# baseline. `make bench-check` runs the same suite and fails on a >10%
-# regression in ns/op, allocs/op, or cycles/sec against the newest
-# committed BENCH_*.json. Both run the whole suite BENCHCOUNT times as
-# separate interleaved passes (not `-count`, which samples back-to-back
-# inside the same machine-noise phase) and bench-json keeps the best
-# pass per metric, so minute-scale frequency/neighbour phases on shared
+# baseline. `make bench-check` runs the same suite and fails on a
+# regression beyond MAXREGRESS (20%) in ns/op, allocs/op, or cycles/sec
+# against the newest committed BENCH_*.json. Both run the whole suite
+# BENCHCOUNT (5) times as separate interleaved passes (not `-count`,
+# which samples back-to-back inside the same machine-noise phase) and
+# bench-json keeps the best pass per metric, so minute-scale frequency/neighbour phases on shared
 # machines do not trip the gate; bench-diff additionally normalizes out
 # remaining drift per benchmark family (phases are temporally local
 # and families run contiguously). The gate locks the per-scheme/load
@@ -123,30 +124,35 @@ BENCHCOUNT ?= 5
 MAXREGRESS ?= 0.20
 BASELINE   ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 
-define run_bench_passes
-	: > /tmp/bench_raw.txt
-	for i in $$(seq $(BENCHCOUNT)); do \
+# run_bench_passes appends BENCHCOUNT passes of the suite to the file
+# named by $$raw. Its callers make that file (and any other scratch
+# file) with mktemp in the same shell and remove it on exit, so two
+# checkouts benchmarking on one host never share a file.
+run_bench_passes = for i in $$(seq $(BENCHCOUNT)); do \
 		$(GO) test -run '^$$' -bench '$(BENCHES)' -benchmem -benchtime $(BENCHTIME) . \
-			| tee -a /tmp/bench_raw.txt || exit 1; \
+			| tee -a "$$raw" || exit 1; \
 	done
-endef
 
 bench: build
-	$(run_bench_passes)
-	$(GO) run ./cmd/noctrace bench-json -in /tmp/bench_raw.txt -out BENCH_$$(date +%F).json
+	raw=$$(mktemp) || exit 1; trap 'rm -f "$$raw"' EXIT; \
+	$(run_bench_passes); \
+	$(GO) run ./cmd/noctrace bench-json -in "$$raw" -out BENCH_$$(date +%F).json
 
 bench-check: build
 	@test -n "$(BASELINE)" || { echo "bench-check: no committed BENCH_*.json baseline"; exit 1; }
-	$(run_bench_passes)
-	$(GO) run ./cmd/noctrace bench-json -in /tmp/bench_raw.txt -out /tmp/bench_new.json
-	$(GO) run ./cmd/noctrace bench-diff -base $(BASELINE) -new /tmp/bench_new.json -max-regress $(MAXREGRESS)
+	raw=$$(mktemp) || exit 1; new=$$(mktemp) || exit 1; trap 'rm -f "$$raw" "$$new"' EXIT; \
+	$(run_bench_passes); \
+	$(GO) run ./cmd/noctrace bench-json -in "$$raw" -out "$$new" && \
+	$(GO) run ./cmd/noctrace bench-diff -base $(BASELINE) -new "$$new" -max-regress $(MAXREGRESS)
 
-# Optional: extended coverage-guided fuzzing of the trace parser and the
-# end-to-end fuzz harness (FUZZTIME per target).
+# Optional: extended coverage-guided fuzzing of the trace parser, the
+# end-to-end fuzz harness and the punch encoder on random fabrics
+# (FUZZTIME per target).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/traffic/ -run FuzzReadTrace -fuzz FuzzReadTrace -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/traffic/ -run FuzzNetworkEndToEnd -fuzz FuzzNetworkEndToEnd -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/ -run FuzzEncodeChannel -fuzz FuzzEncodeChannel -fuzztime $(FUZZTIME)
 
 clean:
 	$(GO) clean ./...

@@ -17,6 +17,7 @@ import (
 	"powerpunch/internal/mesh"
 	"powerpunch/internal/network"
 	"powerpunch/internal/parsec"
+	"powerpunch/internal/topo"
 	"powerpunch/internal/traffic"
 )
 
@@ -48,10 +49,13 @@ func avg(res []experiments.BenchResult, s config.Scheme, f func(experiments.Sche
 // BenchmarkTable1Encoding regenerates Table 1: the 22-entry punch-signal
 // code book of router 27's X+ channel.
 func BenchmarkTable1Encoding(b *testing.B) {
-	m := mesh.New(8, 8)
+	rf, err := topo.Build("mesh", 8, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var codes int
 	for i := 0; i < b.N; i++ {
-		enc := core.EncodeChannel(m, 27, mesh.East, 3)
+		enc := core.EncodeChannel(rf, 27, mesh.East, 3)
 		codes = len(enc.Codes)
 	}
 	b.ReportMetric(float64(codes), "distinct-sets")
@@ -530,8 +534,11 @@ func BenchmarkTickPar(b *testing.B) {
 // BenchmarkPunchFabricStep measures the punch fabric's per-cycle cost
 // with many concurrent punches in flight.
 func BenchmarkPunchFabricStep(b *testing.B) {
-	m := mesh.New(8, 8)
-	f := core.NewFabric(m, 3, false, nil)
+	rf, err := topo.Build("mesh", 8, 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := core.NewFabric(rf, 3, false, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for n := mesh.NodeID(0); n < 64; n += 4 {

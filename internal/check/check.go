@@ -26,8 +26,8 @@ const (
 // anything it can see.
 type View struct {
 	Cfg     *config.Config
-	M       topo.Topology
-	RF      topo.RoutingFunction
+	M       *topo.Topology
+	RF      *topo.RoutingFunction
 	Routers []*router.Router
 	NIs     []*ni.NI
 	Fabric  *core.Fabric // nil unless a punch scheme is active

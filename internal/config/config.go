@@ -307,7 +307,7 @@ func (c *Config) TopologyKind() topo.Kind {
 
 // BuildRouting constructs the configured topology and its canonical
 // routing function.
-func (c *Config) BuildRouting() (topo.RoutingFunction, error) {
+func (c *Config) BuildRouting() (*topo.RoutingFunction, error) {
 	return topo.Build(c.Topology, c.Width, c.Height)
 }
 
@@ -439,8 +439,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: VC depths must be >= 1")
 	case c.DataPacketSize < 1 || c.CtrlPacketSize < 1:
 		return fmt.Errorf("config: packet sizes must be >= 1")
-	case c.DataPacketSize > c.DataVCDepth*3+64:
-		return nil // arbitrary large packets are fine with wormhole
 	}
 	var errs []error
 	if pol.Gates() {

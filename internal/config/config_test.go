@@ -68,6 +68,50 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestOversizedPacketsDoNotBypassValidation: a data packet much longer
+// than the VC buffers is legal under wormhole switching, and it must
+// not short-circuit the checks that follow the packet-size check. Each
+// row pairs such a packet with one later violation and expects that
+// violation's error.
+func TestOversizedPacketsDoNotBypassValidation(t *testing.T) {
+	oversize := func(c *Config) { c.DataPacketSize = c.DataVCDepth*3 + 65 }
+	cfg := Default()
+	oversize(&cfg)
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("oversized data packet alone rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+		want string
+	}{
+		{"WakeupLatency", func(c *Config) { c.WakeupLatency = 0 }, "WakeupLatency must be >= 1"},
+		{"IdleTimeout", func(c *Config) { c.IdleTimeout = 1 }, "IdleTimeout must be >= 2"},
+		{"BreakEven", func(c *Config) { c.BreakEven = -1 }, "BreakEven must be >= 0"},
+		{"TorusDataVCs", func(c *Config) { c.Topology = "torus"; c.DataVCs = 1 }, "needs DataVCs >= 2"},
+		{"RingDataVCs", func(c *Config) { c.Topology = "ring"; c.Height = 1; c.DataVCs = 1 }, "needs DataVCs >= 2"},
+		{"PunchHopsZero", func(c *Config) { c.PunchHops = 0 }, "PunchHops must be in [1,4]"},
+		{"PunchHopsDiameter", func(c *Config) { c.Width, c.Height = 2, 2 }, "exceeds the 2x2 mesh diameter"},
+		{"PunchIdleTimeout", func(c *Config) { c.PunchIdleTimeout = 1 }, "PunchIdleTimeout must be >= 2"},
+		{"NISlack", func(c *Config) { c.ResourceSlack = -1 }, "NI slack parameters must be >= 0"},
+		{"SlackValidFrac", func(c *Config) { c.ResourceSlackValidFrac = 1.5 }, "ResourceSlackValidFrac must be in [0,1]"},
+		{"BypassLinkLatency", func(c *Config) { c.Scheme = FlyOverPG; c.LinkLatency = 2 }, "requires LinkLatency == 1"},
+		{"NILatency", func(c *Config) { c.NILatency = 0 }, "NILatency must be >= 1"},
+		{"CheckInterval", func(c *Config) { c.CheckInterval = -1 }, "CheckInterval must be >= 0"},
+		{"CheckStallLimit", func(c *Config) { c.CheckStallLimit = -1 }, "CheckStallLimit must be >= 0"},
+		{"Workers", func(c *Config) { c.Workers = -1 }, "Workers must be >= 0"},
+		{"DropRearmsParallel", func(c *Config) { c.Workers = 2; c.Faults.DropRearms = true }, "DropRearms fault requires the serial engine"},
+	} {
+		cfg := Default()
+		oversize(&cfg)
+		tc.mut(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s with an oversized packet: Validate() = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestValidateAcceptsTopologies pins the accepted fabric configurations
 // and that diameter-aware punch bounds use the wrapped distance: a 4x4
 // torus has diameter 4, so PunchHops 4 passes where the mutation table

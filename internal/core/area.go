@@ -6,6 +6,7 @@ import (
 
 	"powerpunch/internal/config"
 	"powerpunch/internal/mesh"
+	"powerpunch/internal/topo"
 )
 
 // AreaModel is the analytical overhead estimate behind the paper's
@@ -52,8 +53,11 @@ type AreaReport struct {
 // configuration on its mesh, mirroring the paper's "2.4% of additional
 // NoC area as compared to conventional power-gating".
 func EstimateArea(cfg config.Config, am AreaModel) AreaReport {
-	m := mesh.New(cfg.Width, cfg.Height)
-	xBits, yBits := MaxChannelWidths(m, cfg.PunchHops)
+	rf, err := topo.Build("mesh", cfg.Width, cfg.Height)
+	if err != nil {
+		panic(fmt.Sprintf("core: area estimate: %v", err))
+	}
+	xBits, yBits := MaxChannelWidths(rf, cfg.PunchHops)
 
 	flitBits := cfg.LinkBandwidth
 	vcsPerVN := cfg.VCsPerVN()
@@ -78,8 +82,8 @@ func EstimateArea(cfg config.Config, am AreaModel) AreaReport {
 	codes := 0
 	for _, d := range mesh.LinkDirections {
 		// Use a central router's channel as the representative worst case.
-		r := m.NodeAt(mesh.Coord{X: cfg.Width / 2, Y: cfg.Height / 2})
-		if enc := EncodeChannel(m, r, d, cfg.PunchHops); enc != nil {
+		r := rf.Topology().NodeAt(mesh.Coord{X: cfg.Width / 2, Y: cfg.Height / 2})
+		if enc := EncodeChannel(rf, r, d, cfg.PunchHops); enc != nil {
 			codes += len(enc.Codes)
 		}
 	}

@@ -59,22 +59,10 @@ type ChannelEncoding struct {
 	// plus the idle (no punch) state.
 	WidthBits int
 
-	rf topo.RoutingFunction // the routing function the book was derived under
+	rf *topo.RoutingFunction // the routing function the book was derived under
 }
 
-// xyOn returns the XY routing function over m. The mesh-typed entry
-// points below are the paper's special case of the generic enumerator.
-func xyOn(m *mesh.Mesh) topo.RoutingFunction {
-	return topo.Routing(topo.FromMesh(m))
-}
-
-// EncodeChannel is EncodeChannelOn specialized to a 2D mesh under XY
-// routing — the configuration the paper derives Table 1 for.
-func EncodeChannel(m *mesh.Mesh, r mesh.NodeID, d mesh.Direction, hops int) *ChannelEncoding {
-	return EncodeChannelOn(xyOn(m), r, d, hops)
-}
-
-// EncodeChannelOn enumerates every distinct reduced target set that can
+// EncodeChannel enumerates every distinct reduced target set that can
 // appear on the punch channel leaving router r in direction d, for
 // punch hop-count `hops`, under the given routing function's legality.
 // It applies the paper's five-step reduction (Section 4.1), with the
@@ -91,7 +79,7 @@ func EncodeChannel(m *mesh.Mesh, r mesh.NodeID, d mesh.Direction, hops int) *Cha
 //
 // It returns nil when the channel does not exist (edge of a mesh, Y
 // direction of a ring).
-func EncodeChannelOn(rf topo.RoutingFunction, r mesh.NodeID, d mesh.Direction, hops int) *ChannelEncoding {
+func EncodeChannel(rf *topo.RoutingFunction, r mesh.NodeID, d mesh.Direction, hops int) *ChannelEncoding {
 	t := rf.Topology()
 	next := t.Neighbor(r, d)
 	if next == mesh.Invalid || d == mesh.Local {
@@ -115,7 +103,7 @@ func EncodeChannelOn(rf topo.RoutingFunction, r mesh.NodeID, d mesh.Direction, h
 				comb := make([]mesh.NodeID, 0, len(s)+1)
 				comb = append(comb, s...)
 				comb = append(comb, tg)
-				red := reduceTargetsOn(rf, r, comb)
+				red := reduceTargets(rf, r, comb)
 				next[red.Key()] = red
 			}
 		}
@@ -170,7 +158,7 @@ func widthBits(n int) int {
 // T = Ahead(E, dst, hops); the signal uses this channel iff the routed
 // path E->T includes the link r->next. Since dist(E,T) <= hops and T
 // lies strictly beyond r, emitters satisfy dist(E,r) < hops.
-func channelEmitters(rf topo.RoutingFunction, r mesh.NodeID, d mesh.Direction, hops int) []Emitter {
+func channelEmitters(rf *topo.RoutingFunction, r mesh.NodeID, d mesh.Direction, hops int) []Emitter {
 	t := rf.Topology()
 	next := t.Neighbor(r, d)
 	var emitters []Emitter
@@ -203,15 +191,10 @@ func channelEmitters(rf topo.RoutingFunction, r mesh.NodeID, d mesh.Direction, h
 	return emitters
 }
 
-// reduceTargets is reduceTargetsOn specialized to XY on a mesh.
-func reduceTargets(m *mesh.Mesh, r mesh.NodeID, targets []mesh.NodeID) TargetSet {
-	return reduceTargetsOn(xyOn(m), r, targets)
-}
-
-// reduceTargetsOn removes targets implicitly contained in others: T1 is
+// reduceTargets removes targets implicitly contained in others: T1 is
 // implicit if it lies on the routed path from r to some other target T2
 // (paper step 4). The result is canonical (sorted, unique).
-func reduceTargetsOn(rf topo.RoutingFunction, r mesh.NodeID, targets []mesh.NodeID) TargetSet {
+func reduceTargets(rf *topo.RoutingFunction, r mesh.NodeID, targets []mesh.NodeID) TargetSet {
 	uniq := make([]mesh.NodeID, 0, len(targets))
 	for _, t := range targets {
 		dup := false
@@ -246,20 +229,15 @@ func reduceTargetsOn(rf topo.RoutingFunction, r mesh.NodeID, targets []mesh.Node
 	return out
 }
 
-// MaxChannelWidths is MaxChannelWidthsOn specialized to XY on a mesh.
+// MaxChannelWidths computes, over every router of the fabric, the
+// maximum punch-channel width in each dimension for the given hop count.
 // The paper reports 5-bit X / 2-bit Y for 3-hop punch and 8-bit X /
 // 2-bit Y for 4-hop punch on the 8x8 mesh.
-func MaxChannelWidths(m *mesh.Mesh, hops int) (xBits, yBits int) {
-	return MaxChannelWidthsOn(xyOn(m), hops)
-}
-
-// MaxChannelWidthsOn computes, over every router of the fabric, the
-// maximum punch-channel width in each dimension for the given hop count.
-func MaxChannelWidthsOn(rf topo.RoutingFunction, hops int) (xBits, yBits int) {
+func MaxChannelWidths(rf *topo.RoutingFunction, hops int) (xBits, yBits int) {
 	t := rf.Topology()
 	for r := mesh.NodeID(0); t.Contains(r); r++ {
 		for _, d := range mesh.LinkDirections {
-			enc := EncodeChannelOn(rf, r, d, hops)
+			enc := EncodeChannel(rf, r, d, hops)
 			if enc == nil {
 				continue
 			}
@@ -274,20 +252,12 @@ func MaxChannelWidthsOn(rf topo.RoutingFunction, hops int) (xBits, yBits int) {
 	return xBits, yBits
 }
 
-// CodeFor returns the channel code for a set of raw (unreduced) targets,
-// or -1 if the merged set is not encodable on this channel. Code 0 is
-// reserved for the idle state; valid punch codes start at 1. The mesh
-// argument is retained for call-site compatibility; reduction uses the
-// routing function the encoding was derived under.
-func (e *ChannelEncoding) CodeFor(m *mesh.Mesh, targets []mesh.NodeID) int {
-	return e.CodeForSet(targets)
-}
-
 // CodeForSet returns the channel code for a set of raw (unreduced)
 // targets under the encoding's own routing function, or -1 if the
-// merged set is not encodable on this channel.
+// merged set is not encodable on this channel. Code 0 is reserved for
+// the idle state; valid punch codes start at 1.
 func (e *ChannelEncoding) CodeForSet(targets []mesh.NodeID) int {
-	red := reduceTargetsOn(e.rf, e.Router, targets)
+	red := reduceTargets(e.rf, e.Router, targets)
 	key := red.Key()
 	for _, c := range e.Codes {
 		if c.Set.Key() == key {

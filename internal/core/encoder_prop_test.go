@@ -5,15 +5,16 @@ import (
 	"testing"
 
 	"powerpunch/internal/mesh"
+	"powerpunch/internal/topo"
 )
 
-// allChannels enumerates every punch channel of the mesh at the given
+// allChannels enumerates every punch channel of the fabric at the given
 // hop count.
-func allChannels(m *mesh.Mesh, hops int) []*ChannelEncoding {
+func allChannels(rf *topo.RoutingFunction, hops int) []*ChannelEncoding {
 	var out []*ChannelEncoding
-	for r := mesh.NodeID(0); m.Contains(r); r++ {
+	for r := mesh.NodeID(0); rf.Topology().Contains(r); r++ {
 		for _, d := range mesh.LinkDirections {
-			if e := EncodeChannel(m, r, d, hops); e != nil {
+			if e := EncodeChannel(rf, r, d, hops); e != nil {
 				out = append(out, e)
 			}
 		}
@@ -28,8 +29,8 @@ func allChannels(m *mesh.Mesh, hops int) []*ChannelEncoding {
 // (sorted, fully reduced), codes are dense and within the advertised
 // channel width, and code 0 stays reserved for idle.
 func TestEncoderRoundTripEveryCode(t *testing.T) {
-	m := mesh.New(8, 8)
-	for _, e := range allChannels(m, 3) {
+	rf := meshRF(8, 8)
+	for _, e := range allChannels(rf, 3) {
 		if len(e.Codes) >= (1 << e.WidthBits) {
 			t.Fatalf("r%d %v: %d codes overflow %d-bit channel (idle needs a state)",
 				e.Router, e.Direction, len(e.Codes), e.WidthBits)
@@ -43,12 +44,12 @@ func TestEncoderRoundTripEveryCode(t *testing.T) {
 				t.Fatalf("r%d %v: code %d decodes to an empty set", e.Router, e.Direction, code)
 			}
 			// Canonical: already reduced, sorted, duplicate-free.
-			if red := reduceTargets(m, e.Router, set); red.Key() != set.Key() {
+			if red := reduceTargets(rf, e.Router, set); red.Key() != set.Key() {
 				t.Fatalf("r%d %v: code %d set %v is not reduced (-> %v)",
 					e.Router, e.Direction, code, set, red)
 			}
-			if got := e.CodeFor(m, set); got != code {
-				t.Fatalf("r%d %v: CodeFor(SetFor(%d)) = %d", e.Router, e.Direction, code, got)
+			if got := e.CodeForSet(set); got != code {
+				t.Fatalf("r%d %v: CodeForSet(SetFor(%d)) = %d", e.Router, e.Direction, code, got)
 			}
 		}
 	}
@@ -61,9 +62,9 @@ func TestEncoderRoundTripEveryCode(t *testing.T) {
 // reduction. Exhaustive enumeration is exponential in emitters, so a
 // seeded random sample of choices per channel stands in.
 func TestEncoderEncodesEveryEmitterChoice(t *testing.T) {
-	m := mesh.New(8, 8)
+	rf := meshRF(8, 8)
 	rng := rand.New(rand.NewSource(31))
-	for _, e := range allChannels(m, 3) {
+	for _, e := range allChannels(rf, 3) {
 		for trial := 0; trial < 64; trial++ {
 			var union []mesh.NodeID
 			for _, em := range e.Emitters {
@@ -74,12 +75,12 @@ func TestEncoderEncodesEveryEmitterChoice(t *testing.T) {
 			if len(union) == 0 {
 				continue
 			}
-			code := e.CodeFor(m, union)
+			code := e.CodeForSet(union)
 			if code < 1 {
 				t.Fatalf("r%d %v: legal emitter union %v not encodable",
 					e.Router, e.Direction, union)
 			}
-			want := reduceTargets(m, e.Router, union)
+			want := reduceTargets(rf, e.Router, union)
 			if got := e.SetFor(code); got.Key() != want.Key() {
 				t.Fatalf("r%d %v: union %v encoded to %v, want %v",
 					e.Router, e.Direction, union, got, want)
@@ -95,7 +96,7 @@ func TestEncoderEncodesEveryEmitterChoice(t *testing.T) {
 // reduce(A ∪ B) == reduce(reduce(A) ∪ reduce(B)) — and reduction is
 // idempotent.
 func TestReduceMergeLossless(t *testing.T) {
-	m := mesh.New(8, 8)
+	rf := meshRF(8, 8)
 	rng := rand.New(rand.NewSource(37))
 	randomTargets := func(e *ChannelEncoding) []mesh.NodeID {
 		var u []mesh.NodeID
@@ -108,17 +109,17 @@ func TestReduceMergeLossless(t *testing.T) {
 		}
 		return u
 	}
-	for _, e := range allChannels(m, 3) {
+	for _, e := range allChannels(rf, 3) {
 		for trial := 0; trial < 32; trial++ {
 			a, b := randomTargets(e), randomTargets(e)
-			direct := reduceTargets(m, e.Router, append(append([]mesh.NodeID{}, a...), b...))
-			ra, rb := reduceTargets(m, e.Router, a), reduceTargets(m, e.Router, b)
-			staged := reduceTargets(m, e.Router, append(append([]mesh.NodeID{}, ra...), rb...))
+			direct := reduceTargets(rf, e.Router, append(append([]mesh.NodeID{}, a...), b...))
+			ra, rb := reduceTargets(rf, e.Router, a), reduceTargets(rf, e.Router, b)
+			staged := reduceTargets(rf, e.Router, append(append([]mesh.NodeID{}, ra...), rb...))
 			if direct.Key() != staged.Key() {
 				t.Fatalf("r%d %v: merge not lossless: reduce(A∪B)=%v but reduce(rA∪rB)=%v (A=%v B=%v)",
 					e.Router, e.Direction, direct, staged, a, b)
 			}
-			if again := reduceTargets(m, e.Router, direct); again.Key() != direct.Key() {
+			if again := reduceTargets(rf, e.Router, direct); again.Key() != direct.Key() {
 				t.Fatalf("r%d %v: reduction not idempotent: %v -> %v", e.Router, e.Direction, direct, again)
 			}
 		}

@@ -9,12 +9,12 @@ import (
 )
 
 // bruteForceCodeBook enumerates, without the incremental-reduction
-// shortcut EncodeChannelOn uses, every distinct reduced target set a
+// shortcut EncodeChannel uses, every distinct reduced target set a
 // channel can carry: all unions of at most one target per emitter,
 // each reduced independently. It is the ground truth the fast
 // enumerator must match. Returns nil (and ok=false) when the naive
 // product of choices is too large to walk.
-func bruteForceCodeBook(rf topo.RoutingFunction, e *ChannelEncoding) (map[string]TargetSet, bool) {
+func bruteForceCodeBook(rf *topo.RoutingFunction, e *ChannelEncoding) (map[string]TargetSet, bool) {
 	product := 1
 	for _, em := range e.Emitters {
 		product *= 1 + len(em.Targets)
@@ -29,7 +29,7 @@ func bruteForceCodeBook(rf topo.RoutingFunction, e *ChannelEncoding) (map[string
 			if len(acc) == 0 {
 				return
 			}
-			red := reduceTargetsOn(rf, e.Router, acc)
+			red := reduceTargets(rf, e.Router, acc)
 			sets[red.Key()] = red
 			return
 		}
@@ -73,7 +73,7 @@ func TestEncoderMatchesBruteForceAcrossShapes(t *testing.T) {
 				channels := 0
 				for r := mesh.NodeID(0); top.Contains(r); r++ {
 					for _, d := range mesh.LinkDirections {
-						e := EncodeChannelOn(rf, r, d, hops)
+						e := EncodeChannel(rf, r, d, hops)
 						if e == nil {
 							if top.Neighbor(r, d) != mesh.Invalid {
 								t.Fatalf("r%d %v: link exists but channel is nil", r, d)
@@ -123,12 +123,12 @@ func TestLargeFabricWidthsSaturate(t *testing.T) {
 	// maxWidthsOver encodes only the given routers. A router's code
 	// book depends solely on its hops-radius neighborhood shape, so a
 	// sample covering every distinct edge-distance class yields the
-	// same maximum as the full MaxChannelWidthsOn scan at a fraction
+	// same maximum as the full MaxChannelWidths scan at a fraction
 	// of the cost (a 64x64 full scan is ~16k channel enumerations).
-	maxWidthsOver := func(rf topo.RoutingFunction, hops int, routers []mesh.NodeID) (xBits, yBits int) {
+	maxWidthsOver := func(rf *topo.RoutingFunction, hops int, routers []mesh.NodeID) (xBits, yBits int) {
 		for _, r := range routers {
 			for _, d := range mesh.LinkDirections {
-				enc := EncodeChannelOn(rf, r, d, hops)
+				enc := EncodeChannel(rf, r, d, hops)
 				if enc == nil {
 					continue
 				}
@@ -174,13 +174,13 @@ func TestLargeFabricWidthsSaturate(t *testing.T) {
 		}
 	}
 	// The 32x32 full scan stays cheap enough to keep one exhaustive
-	// MaxChannelWidthsOn call in the property, guarding the sampling
+	// MaxChannelWidths call in the property, guarding the sampling
 	// shortcut itself.
 	full, err := topo.Build("mesh", 32, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if x, y := MaxChannelWidthsOn(full, 3); x != 5 || y != 2 {
+	if x, y := MaxChannelWidths(full, 3); x != 5 || y != 2 {
 		t.Errorf("32x32 mesh full scan: widths X=%d Y=%d, want 5/2", x, y)
 	}
 	// Torus fixed point: derive the saturated widths on the smallest
@@ -192,7 +192,7 @@ func TestLargeFabricWidthsSaturate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantX, wantY := MaxChannelWidthsOn(ref, 3)
+	wantX, wantY := MaxChannelWidths(ref, 3)
 	if wantX < 5 || wantY < 2 {
 		// Wrapping removes edge truncation, so the torus code book can
 		// never be narrower than the mesh interior's.
@@ -211,7 +211,7 @@ func TestLargeFabricWidthsSaturate(t *testing.T) {
 		}
 		for _, r := range sample {
 			for _, d := range mesh.LinkDirections {
-				if enc := EncodeChannelOn(rf, r, d, 3); enc == nil {
+				if enc := EncodeChannel(rf, r, d, 3); enc == nil {
 					t.Errorf("%dx%d torus: router %d %v has no punch channel", size, size, r, d)
 				}
 			}
@@ -234,7 +234,7 @@ func TestNonSquareWidthsAreConsistent(t *testing.T) {
 		{8, 4, 5, 2},
 		{8, 8, 5, 2},
 	} {
-		x, y := MaxChannelWidths(mesh.New(tc.w, tc.h), 3)
+		x, y := MaxChannelWidths(meshRF(tc.w, tc.h), 3)
 		if x > tc.maxX || y > tc.maxY {
 			t.Errorf("%dx%d: widths X=%d Y=%d exceed envelope X<=%d Y<=%d",
 				tc.w, tc.h, x, y, tc.maxX, tc.maxY)

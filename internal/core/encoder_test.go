@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"powerpunch/internal/mesh"
+	"powerpunch/internal/topo"
 )
 
 // table1Sets are the 22 distinct sets of the paper's Table 1 (router 27,
@@ -24,8 +25,8 @@ func canon(s []mesh.NodeID) string {
 }
 
 func TestEncodeChannelReproducesTable1(t *testing.T) {
-	m := mesh.New(8, 8)
-	enc := EncodeChannel(m, 27, mesh.East, 3)
+	rf := meshRF(8, 8)
+	enc := EncodeChannel(rf, 27, mesh.East, 3)
 	if enc == nil {
 		t.Fatal("nil encoding")
 	}
@@ -54,8 +55,8 @@ func TestEncodeChannelEmittersMatchPaper(t *testing.T) {
 	// Section 4.1 step 3: on R27's X+ channel, only R25, R26, and R27
 	// can be wakeup-signal sources; R27 has 9 possible targets, R26 has
 	// 4, and R25 has 1 (always R28).
-	m := mesh.New(8, 8)
-	enc := EncodeChannel(m, 27, mesh.East, 3)
+	rf := meshRF(8, 8)
+	enc := EncodeChannel(rf, 27, mesh.East, 3)
 	if len(enc.Emitters) != 3 {
 		t.Fatalf("emitters = %d, want 3", len(enc.Emitters))
 	}
@@ -77,9 +78,9 @@ func TestYChannelHasThreeSets(t *testing.T) {
 	// Section 4.1 step 4: Y-direction punch channels have only 3
 	// distinct sets ({1 hop}, {2 hops}, {3 hops} straight ahead), hence
 	// 2 bits.
-	m := mesh.New(8, 8)
+	rf := meshRF(8, 8)
 	for _, d := range []mesh.Direction{mesh.North, mesh.South} {
-		enc := EncodeChannel(m, 27, d, 3)
+		enc := EncodeChannel(rf, 27, d, 3)
 		if enc == nil {
 			t.Fatalf("no %v channel for router 27", d)
 		}
@@ -98,12 +99,12 @@ func TestYChannelHasThreeSets(t *testing.T) {
 }
 
 func TestMaxChannelWidthsMatchPaper(t *testing.T) {
-	m := mesh.New(8, 8)
-	x3, y3 := MaxChannelWidths(m, 3)
+	rf := meshRF(8, 8)
+	x3, y3 := MaxChannelWidths(rf, 3)
 	if x3 != 5 || y3 != 2 {
 		t.Errorf("3-hop widths = (%d,%d), want (5,2) per Section 4.1", x3, y3)
 	}
-	x4, _ := MaxChannelWidths(m, 4)
+	x4, _ := MaxChannelWidths(rf, 4)
 	if x4 != 8 {
 		t.Errorf("4-hop X width = %d, want 8 per Section 4.1 step 5", x4)
 	}
@@ -112,11 +113,11 @@ func TestMaxChannelWidthsMatchPaper(t *testing.T) {
 func TestEdgeChannelsAreNarrowerOrEqual(t *testing.T) {
 	// Routers at the mesh edge have fewer upstream emitters, so their
 	// channels never need more bits than an interior router's.
-	m := mesh.New(8, 8)
-	interior := EncodeChannel(m, 27, mesh.East, 3)
+	rf := meshRF(8, 8)
+	interior := EncodeChannel(rf, 27, mesh.East, 3)
 	for _, r := range []mesh.NodeID{0, 7, 56, 63, 8, 1} {
 		for _, d := range mesh.LinkDirections {
-			enc := EncodeChannel(m, r, d, 3)
+			enc := EncodeChannel(rf, r, d, 3)
 			if enc == nil {
 				continue
 			}
@@ -129,11 +130,11 @@ func TestEdgeChannelsAreNarrowerOrEqual(t *testing.T) {
 }
 
 func TestEncodeChannelNilCases(t *testing.T) {
-	m := mesh.New(8, 8)
-	if EncodeChannel(m, 7, mesh.East, 3) != nil {
+	rf := meshRF(8, 8)
+	if EncodeChannel(rf, 7, mesh.East, 3) != nil {
 		t.Error("east edge must have no X+ channel")
 	}
-	if EncodeChannel(m, 27, mesh.Local, 3) != nil {
+	if EncodeChannel(rf, 27, mesh.Local, 3) != nil {
 		t.Error("Local is not a punch channel")
 	}
 }
@@ -141,7 +142,7 @@ func TestEncodeChannelNilCases(t *testing.T) {
 func TestReduceTargetsProperties(t *testing.T) {
 	// Property: reduction is idempotent, order-independent, and only
 	// removes targets lying on the XY path to a surviving target.
-	m := mesh.New(8, 8)
+	rf := meshRF(8, 8)
 	r := mesh.NodeID(27)
 	pool := []mesh.NodeID{28, 29, 30, 20, 21, 36, 37, 44, 12}
 	f := func(picksRaw []uint8) bool {
@@ -152,9 +153,9 @@ func TestReduceTargetsProperties(t *testing.T) {
 		for _, p := range picksRaw {
 			targets = append(targets, pool[int(p)%len(pool)])
 		}
-		red := reduceTargets(m, r, targets)
+		red := reduceTargets(rf, r, targets)
 		// Idempotent.
-		again := reduceTargets(m, r, red)
+		again := reduceTargets(rf, r, red)
 		if again.Key() != red.Key() {
 			return false
 		}
@@ -163,14 +164,14 @@ func TestReduceTargetsProperties(t *testing.T) {
 		for i, v := range targets {
 			rev[len(targets)-1-i] = v
 		}
-		if reduceTargets(m, r, rev).Key() != red.Key() {
+		if reduceTargets(rf, r, rev).Key() != red.Key() {
 			return false
 		}
 		// Every original target is either kept or dominated by a kept one.
 		for _, tg := range targets {
 			covered := false
 			for _, k := range red {
-				if tg == k || onXYPath(m, r, k, tg) {
+				if tg == k || onXYPath(rf.Topology(), r, k, tg) {
 					covered = true
 					break
 				}
@@ -187,7 +188,7 @@ func TestReduceTargetsProperties(t *testing.T) {
 }
 
 // onXYPath is a test-local re-check of path membership.
-func onXYPath(m *mesh.Mesh, from, to, node mesh.NodeID) bool {
+func onXYPath(m *topo.Topology, from, to, node mesh.NodeID) bool {
 	cur := from
 	for {
 		if cur == node {
@@ -215,8 +216,8 @@ func TestFabricSetsAreAlwaysEncodable(t *testing.T) {
 	// under the strict (one-new-punch-per-emitter-channel) regime, every
 	// merged target set observed on a channel must appear in that
 	// channel's code book.
-	m := mesh.New(8, 8)
-	enc := EncodeChannel(m, 27, mesh.East, 3)
+	rf := meshRF(8, 8)
+	enc := EncodeChannel(rf, 27, mesh.East, 3)
 	book := map[string]bool{}
 	for _, c := range enc.Codes {
 		book[c.Set.Key()] = true
@@ -224,7 +225,7 @@ func TestFabricSetsAreAlwaysEncodable(t *testing.T) {
 	// All single targets an emitter can name are in the book.
 	for _, e := range enc.Emitters {
 		for _, tg := range e.Targets {
-			red := reduceTargets(m, 27, []mesh.NodeID{tg})
+			red := reduceTargets(rf, 27, []mesh.NodeID{tg})
 			if !book[red.Key()] {
 				t.Errorf("single signal %d->%d not encodable", e.Router, tg)
 			}
@@ -238,7 +239,7 @@ func TestFabricSetsAreAlwaysEncodable(t *testing.T) {
 			}
 			for _, t1 := range e1.Targets {
 				for _, t2 := range e2.Targets {
-					red := reduceTargets(m, 27, []mesh.NodeID{t1, t2})
+					red := reduceTargets(rf, 27, []mesh.NodeID{t1, t2})
 					if !book[red.Key()] {
 						t.Errorf("merge {%d,%d} not encodable", t1, t2)
 					}
@@ -263,8 +264,8 @@ func TestAreaEstimateMatchesPaperBallpark(t *testing.T) {
 }
 
 func TestFormatTableOutput(t *testing.T) {
-	m := mesh.New(8, 8)
-	enc := EncodeChannel(m, 27, mesh.East, 3)
+	rf := meshRF(8, 8)
+	enc := EncodeChannel(rf, 27, mesh.East, 3)
 	out := enc.FormatTable()
 	if out == "" {
 		t.Fatal("empty table")
@@ -272,24 +273,24 @@ func TestFormatTableOutput(t *testing.T) {
 }
 
 func TestCodeRoundTrip(t *testing.T) {
-	m := mesh.New(8, 8)
-	enc := EncodeChannel(m, 27, mesh.East, 3)
-	// Every code book entry round-trips through CodeFor/SetFor.
+	rf := meshRF(8, 8)
+	enc := EncodeChannel(rf, 27, mesh.East, 3)
+	// Every code book entry round-trips through CodeForSet/SetFor.
 	for _, c := range enc.Codes {
-		code := enc.CodeFor(m, c.Set)
+		code := enc.CodeForSet(c.Set)
 		if code < 1 {
-			t.Fatalf("set %v not found by CodeFor", c.Set)
+			t.Fatalf("set %v not found by CodeForSet", c.Set)
 		}
 		if got := enc.SetFor(code); got.Key() != c.Set.Key() {
-			t.Fatalf("SetFor(CodeFor(%v)) = %v", c.Set, got)
+			t.Fatalf("SetFor(CodeForSet(%v)) = %v", c.Set, got)
 		}
 	}
 	// Unreduced inputs reduce before lookup: {28, 29} -> {29}.
-	if code := enc.CodeFor(m, []mesh.NodeID{28, 29}); code < 1 || enc.SetFor(code).Key() != "29" {
-		t.Errorf("CodeFor({28,29}) should resolve to the {29} code")
+	if code := enc.CodeForSet([]mesh.NodeID{28, 29}); code < 1 || enc.SetFor(code).Key() != "29" {
+		t.Errorf("CodeForSet({28,29}) should resolve to the {29} code")
 	}
 	// Unencodable sets report -1; idle/out-of-range codes return nil.
-	if enc.CodeFor(m, []mesh.NodeID{21, 30}) != -1 {
+	if enc.CodeForSet([]mesh.NodeID{21, 30}) != -1 {
 		t.Error("{21,30} should be unencodable")
 	}
 	if enc.SetFor(0) != nil || enc.SetFor(99) != nil {

@@ -10,16 +10,11 @@ import (
 	"powerpunch/internal/topo"
 )
 
-// TargetedRouter is TargetedRouterOn specialized to XY on a mesh.
-func TargetedRouter(m *mesh.Mesh, cur, dst mesh.NodeID, k int) mesh.NodeID {
-	return TargetedRouterOn(xyOn(m), cur, dst, k)
-}
-
-// TargetedRouterOn computes the paper's targeted router for a packet at
+// TargetedRouter computes the paper's targeted router for a packet at
 // cur destined to dst with a k-hop punch: the router k hops ahead on
 // the routed path, or the destination if it is closer. It returns
 // mesh.Invalid when cur == dst (no punch needed).
-func TargetedRouterOn(rf topo.RoutingFunction, cur, dst mesh.NodeID, k int) mesh.NodeID {
+func TargetedRouter(rf *topo.RoutingFunction, cur, dst mesh.NodeID, k int) mesh.NodeID {
 	if cur == dst {
 		return mesh.Invalid
 	}
@@ -45,8 +40,8 @@ type FabricStats struct {
 // t+1 (one link per cycle); relay through a controller is combinational
 // (paper Section 6.6) and adds no extra latency.
 type Fabric struct {
-	rf   topo.RoutingFunction
-	t    topo.Topology
+	rf   *topo.RoutingFunction
+	t    *topo.Topology
 	hops int
 	// strict limits each router to one newly-generated punch per outgoing
 	// direction per cycle, matching the single-signal-per-emitter model
@@ -100,15 +95,10 @@ type Fabric struct {
 	stats FabricStats
 }
 
-// NewFabric is NewFabricOn specialized to XY on a mesh.
-func NewFabric(m *mesh.Mesh, hops int, strict bool, acct *power.Accountant) *Fabric {
-	return NewFabricOn(xyOn(m), hops, strict, acct)
-}
-
-// NewFabricOn returns a punch fabric routed by rf with the given
+// NewFabric returns a punch fabric routed by rf with the given
 // hop-count slack (paper default 3). acct may be nil to skip energy
 // accounting.
-func NewFabricOn(rf topo.RoutingFunction, hops int, strict bool, acct *power.Accountant) *Fabric {
+func NewFabric(rf *topo.RoutingFunction, hops int, strict bool, acct *power.Accountant) *Fabric {
 	if hops < 1 {
 		panic(fmt.Sprintf("core: punch hops must be >= 1, got %d", hops))
 	}
@@ -175,7 +165,7 @@ func (f *Fabric) codebook(node int, di int) map[string]bool {
 		return cb
 	}
 	cb := map[string]bool{}
-	if enc := EncodeChannelOn(f.rf, mesh.NodeID(node), mesh.LinkDirections[di], f.hops); enc != nil {
+	if enc := EncodeChannel(f.rf, mesh.NodeID(node), mesh.LinkDirections[di], f.hops); enc != nil {
 		for _, c := range enc.Codes {
 			cb[c.Set.Key()] = true
 		}
@@ -187,7 +177,7 @@ func (f *Fabric) codebook(node int, di int) map[string]bool {
 // checkEncodable panics if the channel's merged set is outside its code
 // book.
 func (f *Fabric) checkEncodable(node, di int, targets []mesh.NodeID) {
-	red := reduceTargetsOn(f.rf, mesh.NodeID(node), targets)
+	red := reduceTargets(f.rf, mesh.NodeID(node), targets)
 	if !f.codebook(node, di)[red.Key()] {
 		panic(fmt.Sprintf("core: channel %d->%v carries unencodable set %v (reduced %v)",
 			node, mesh.LinkDirections[di], targets, red))
@@ -203,7 +193,7 @@ func (f *Fabric) Stats() FabricStats { return f.stats }
 // cycle (level semantics: a stalled packet keeps punching). No-op when
 // cur == dst.
 func (f *Fabric) EmitSource(cur, dst mesh.NodeID) {
-	t := TargetedRouterOn(f.rf, cur, dst, f.hops)
+	t := TargetedRouter(f.rf, cur, dst, f.hops)
 	if t == mesh.Invalid {
 		return
 	}

@@ -16,7 +16,7 @@ import (
 // fabric did before it tracked live nodes. It exists only to check the
 // sparse Step against.
 type denseFabric struct {
-	rf         topo.RoutingFunction
+	rf         *topo.RoutingFunction
 	hops       int
 	strict     bool
 	inbox      [][]mesh.NodeID
@@ -30,7 +30,7 @@ type denseFabric struct {
 	stats      FabricStats
 }
 
-func newDenseFabric(rf topo.RoutingFunction, hops int, strict bool) *denseFabric {
+func newDenseFabric(rf *topo.RoutingFunction, hops int, strict bool) *denseFabric {
 	n := rf.Topology().NumNodes()
 	return &denseFabric{
 		rf: rf, hops: hops, strict: strict,
@@ -46,7 +46,7 @@ func newDenseFabric(rf topo.RoutingFunction, hops int, strict bool) *denseFabric
 func (f *denseFabric) emit(e obs.Event) { f.events = append(f.events, e) }
 
 func (f *denseFabric) EmitSource(cur, dst mesh.NodeID) {
-	t := TargetedRouterOn(f.rf, cur, dst, f.hops)
+	t := TargetedRouter(f.rf, cur, dst, f.hops)
 	if t == mesh.Invalid {
 		return
 	}
@@ -158,7 +158,7 @@ func TestSparseStepMatchesDense(t *testing.T) {
 						t.Fatal(err)
 					}
 					rf := topo.Routing(tp)
-					f := NewFabricOn(rf, hops, strict, nil)
+					f := NewFabric(rf, hops, strict, nil)
 					bus := obs.NewBus(obs.Meta{})
 					var rec obs.Recorder
 					bus.Attach(&rec)

@@ -6,29 +6,28 @@ import (
 	"powerpunch/internal/mesh"
 )
 
-func newFab(hops int) (*mesh.Mesh, *Fabric) {
-	m := mesh.New(8, 8)
-	return m, NewFabric(m, hops, false, nil)
+func newFab(hops int) *Fabric {
+	return NewFabric(meshRF(8, 8), hops, false, nil)
 }
 
 func TestTargetedRouterPaperExamples(t *testing.T) {
-	m := mesh.New(8, 8)
+	rf := meshRF(8, 8)
 	// Section 4.1: "if a packet has source R0, destination R7 and is
 	// currently in R3, then R6 is the targeted router".
-	if got := TargetedRouter(m, 3, 7, 3); got != 6 {
+	if got := TargetedRouter(rf, 3, 7, 3); got != 6 {
 		t.Errorf("TargetedRouter(3,7,3) = %d, want 6", got)
 	}
 	// Step 1: "a packet currently at R26 with destination R31 knows
 	// precisely that the targeted router is R29".
-	if got := TargetedRouter(m, 26, 31, 3); got != 29 {
+	if got := TargetedRouter(rf, 26, 31, 3); got != 29 {
 		t.Errorf("TargetedRouter(26,31,3) = %d, want 29", got)
 	}
 	// At the destination: no punch.
-	if got := TargetedRouter(m, 31, 31, 3); got != mesh.Invalid {
+	if got := TargetedRouter(rf, 31, 31, 3); got != mesh.Invalid {
 		t.Errorf("TargetedRouter at destination = %d, want Invalid", got)
 	}
 	// Destination closer than the hop slack: target the destination.
-	if got := TargetedRouter(m, 26, 28, 3); got != 28 {
+	if got := TargetedRouter(rf, 26, 28, 3); got != 28 {
 		t.Errorf("TargetedRouter(26,28,3) = %d, want 28", got)
 	}
 }
@@ -37,7 +36,7 @@ func TestPunchPropagatesOneHopPerCycle(t *testing.T) {
 	// A punch emitted at R26 toward R29 must hold R26 in cycle 0, R27 in
 	// cycle 1, R28 in cycle 2, and R29 in cycle 3 — one link per cycle,
 	// waking every intermediate router implicitly (Section 4.1 step 2).
-	_, f := newFab(3)
+	f := newFab(3)
 	f.EmitSource(26, 31) // target = 29
 	f.Step()             // cycle 0 processed
 	if !f.Hold(26) {
@@ -65,7 +64,7 @@ func TestPunchPropagatesOneHopPerCycle(t *testing.T) {
 func TestPunchFollowsXYTurn(t *testing.T) {
 	// Packet at 27 destined to 21 (paper: path 27->28->29->21, X then
 	// Y-). The punch must turn with the path.
-	_, f := newFab(3)
+	f := newFab(3)
 	f.EmitSource(27, 21) // target = 21 itself (3 hops)
 	f.Step()
 	f.Step()
@@ -85,7 +84,7 @@ func TestPunchFollowsXYTurn(t *testing.T) {
 func TestLevelSemanticsKeepDownstreamHeld(t *testing.T) {
 	// Re-emitting each cycle (a resident, possibly stalled packet) keeps
 	// the whole 3-hop-ahead window held every cycle.
-	_, f := newFab(3)
+	f := newFab(3)
 	for cyc := 0; cyc < 6; cyc++ {
 		f.EmitSource(26, 31)
 		f.Step()
@@ -100,7 +99,7 @@ func TestLevelSemanticsKeepDownstreamHeld(t *testing.T) {
 func TestMergeIsLossless(t *testing.T) {
 	// Two punches sharing the channel 27->28 in the same cycle must both
 	// reach their targets (contention-free merging, Section 4.1).
-	_, f := newFab(3)
+	f := newFab(3)
 	for cyc := 0; cyc < 5; cyc++ {
 		f.EmitSource(26, 36) // target 36: path 26,27,28,36
 		f.EmitSource(27, 21) // target 21: path 27,28,29,21
@@ -114,7 +113,7 @@ func TestMergeIsLossless(t *testing.T) {
 }
 
 func TestEmitLocalHoldsSourceAndPunchesAhead(t *testing.T) {
-	_, f := newFab(3)
+	f := newFab(3)
 	f.EmitLocal(0, 7)
 	f.Step()
 	if !f.Hold(0) {
@@ -127,7 +126,7 @@ func TestEmitLocalHoldsSourceAndPunchesAhead(t *testing.T) {
 }
 
 func TestHoldLocalOnly(t *testing.T) {
-	_, f := newFab(3)
+	f := newFab(3)
 	f.HoldLocal(5)
 	f.Step()
 	if !f.Hold(5) {
@@ -143,7 +142,7 @@ func TestHoldLocalOnly(t *testing.T) {
 
 func TestShortPathPunch(t *testing.T) {
 	// One-hop packet: the punch targets the destination directly.
-	_, f := newFab(3)
+	f := newFab(3)
 	f.EmitSource(0, 1)
 	f.Step()
 	f.Step()
@@ -153,8 +152,8 @@ func TestShortPathPunch(t *testing.T) {
 }
 
 func TestStrictModeDropsSecondSourcePunchSameChannel(t *testing.T) {
-	m := mesh.New(8, 8)
-	f := NewFabric(m, 3, true, nil)
+	rf := meshRF(8, 8)
+	f := NewFabric(rf, 3, true, nil)
 	// Two new punches from the same router out the same (X+) channel in
 	// one cycle: strict hardware can encode only one new signal per
 	// emitter per cycle.
@@ -171,8 +170,8 @@ func TestStrictModeDropsSecondSourcePunchSameChannel(t *testing.T) {
 }
 
 func TestRelaysAreNeverDroppedInStrictMode(t *testing.T) {
-	m := mesh.New(8, 8)
-	f := NewFabric(m, 3, true, nil)
+	rf := meshRF(8, 8)
+	f := NewFabric(rf, 3, true, nil)
 	for cyc := 0; cyc < 5; cyc++ {
 		f.EmitSource(25, 29) // target 28 (3 hops)
 		f.EmitSource(26, 30) // target 29
@@ -186,7 +185,7 @@ func TestRelaysAreNeverDroppedInStrictMode(t *testing.T) {
 }
 
 func TestFabricStatsCount(t *testing.T) {
-	_, f := newFab(3)
+	f := newFab(3)
 	f.EmitSource(26, 31)
 	f.Step()
 	s := f.Stats()
@@ -204,15 +203,15 @@ func TestNewFabricPanicsOnBadHops(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	NewFabric(mesh.New(4, 4), 0, false, nil)
+	NewFabric(meshRF(4, 4), 0, false, nil)
 }
 
 func TestVerifyEncodableCatchesIdealizedOverflow(t *testing.T) {
 	// In non-strict mode, two same-cycle source punches from one router
 	// out the same channel form a set the Table-1 hardware cannot
 	// encode; verification must catch it.
-	m := mesh.New(8, 8)
-	f := NewFabric(m, 3, false, nil)
+	rf := meshRF(8, 8)
+	f := NewFabric(rf, 3, false, nil)
 	f.SetVerifyEncodable(true)
 	f.EmitSource(27, 31) // target 30 via X+
 	f.EmitSource(27, 21) // target 21 via X+ — {30,21} is not in the code book
@@ -225,8 +224,8 @@ func TestVerifyEncodableCatchesIdealizedOverflow(t *testing.T) {
 }
 
 func TestVerifyEncodablePassesStrictFabric(t *testing.T) {
-	m := mesh.New(8, 8)
-	f := NewFabric(m, 3, true, nil)
+	rf := meshRF(8, 8)
+	f := NewFabric(rf, 3, true, nil)
 	f.SetVerifyEncodable(true)
 	for cyc := 0; cyc < 10; cyc++ {
 		f.EmitSource(27, 31)

@@ -7,20 +7,24 @@ import (
 	"powerpunch/internal/config"
 	"powerpunch/internal/core"
 	"powerpunch/internal/mesh"
+	"powerpunch/internal/topo"
 )
 
 // FormatTable1 reproduces the paper's Table 1: every distinct set of
 // targeted routers on router 27's X+ punch channel of an 8x8 mesh with
 // 3-hop punch, plus the resulting channel widths in both dimensions.
 func FormatTable1() string {
-	m := mesh.New(8, 8)
-	enc := core.EncodeChannel(m, 27, mesh.East, 3)
+	rf, err := topo.Build("mesh", 8, 8)
+	if err != nil {
+		panic(err)
+	}
+	enc := core.EncodeChannel(rf, 27, mesh.East, 3)
 	var b strings.Builder
 	b.WriteString("Table 1: punch-signal encoding (router 27, X+ direction, 3-hop)\n\n")
 	b.WriteString(enc.FormatTable())
 	fmt.Fprintf(&b, "\ndistinct sets: %d (paper: 22) -> %d-bit X channels (paper: 5)\n", len(enc.Codes), enc.WidthBits)
-	x3, y3 := core.MaxChannelWidths(m, 3)
-	x4, y4 := core.MaxChannelWidths(m, 4)
+	x3, y3 := core.MaxChannelWidths(rf, 3)
+	x4, y4 := core.MaxChannelWidths(rf, 4)
 	fmt.Fprintf(&b, "3-hop widths across all routers: X=%d bits, Y=%d bits (paper: 5, 2)\n", x3, y3)
 	fmt.Fprintf(&b, "4-hop widths across all routers: X=%d bits, Y=%d bits (paper: 8, 2; our straight-line\n"+
 		"Y enumeration needs one more bit to name the 4th-hop target plus idle)\n", x4, y4)

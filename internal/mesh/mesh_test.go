@@ -1,74 +1,6 @@
 package mesh
 
-import (
-	"testing"
-	"testing/quick"
-)
-
-func TestNewPanicsOnBadDimensions(t *testing.T) {
-	for _, dims := range [][2]int{{0, 4}, {4, 0}, {-1, 3}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("New(%d,%d) did not panic", dims[0], dims[1])
-				}
-			}()
-			New(dims[0], dims[1])
-		}()
-	}
-}
-
-func TestCoordRoundTrip(t *testing.T) {
-	m := New(8, 8)
-	for id := NodeID(0); m.Contains(id); id++ {
-		c := m.CoordOf(id)
-		if got := m.NodeAt(c); got != id {
-			t.Fatalf("NodeAt(CoordOf(%d)) = %d", id, got)
-		}
-	}
-}
-
-func TestPaperNodeNumbering(t *testing.T) {
-	// Figure 4: node 27 of the 8x8 mesh is at column 3, row 3; its X+
-	// neighbor is 28 and its Y+ neighbor is 35.
-	m := New(8, 8)
-	if c := m.CoordOf(27); c.X != 3 || c.Y != 3 {
-		t.Fatalf("CoordOf(27) = %+v, want (3,3)", c)
-	}
-	if got := m.Neighbor(27, East); got != 28 {
-		t.Errorf("East neighbor of 27 = %d, want 28", got)
-	}
-	if got := m.Neighbor(27, South); got != 35 {
-		t.Errorf("South neighbor of 27 = %d, want 35", got)
-	}
-	if got := m.Neighbor(27, North); got != 19 {
-		t.Errorf("North neighbor of 27 = %d, want 19", got)
-	}
-	if got := m.Neighbor(27, West); got != 26 {
-		t.Errorf("West neighbor of 27 = %d, want 26", got)
-	}
-}
-
-func TestNeighborEdges(t *testing.T) {
-	m := New(4, 4)
-	cases := []struct {
-		id  NodeID
-		d   Direction
-		out NodeID
-	}{
-		{0, North, Invalid},
-		{0, West, Invalid},
-		{3, East, Invalid},
-		{12, South, Invalid},
-		{15, East, Invalid},
-		{5, Local, Invalid},
-	}
-	for _, c := range cases {
-		if got := m.Neighbor(c.id, c.d); got != c.out {
-			t.Errorf("Neighbor(%d,%v) = %d, want %d", c.id, c.d, got, c.out)
-		}
-	}
-}
+import "testing"
 
 func TestOppositeInvolution(t *testing.T) {
 	for _, d := range LinkDirections {
@@ -81,110 +13,6 @@ func TestOppositeInvolution(t *testing.T) {
 	}
 	if Local.Opposite() != Local {
 		t.Error("Opposite(Local) != Local")
-	}
-}
-
-func TestNeighborSymmetry(t *testing.T) {
-	// Property: if B is A's neighbor in direction d, then A is B's
-	// neighbor in the opposite direction.
-	m := New(7, 5)
-	f := func(idRaw uint8, dRaw uint8) bool {
-		id := NodeID(int(idRaw) % m.NumNodes())
-		d := LinkDirections[int(dRaw)%NumLinkDirs]
-		nb := m.Neighbor(id, d)
-		if nb == Invalid {
-			return true
-		}
-		return m.Neighbor(nb, d.Opposite()) == id
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHopDistanceProperties(t *testing.T) {
-	// Property: symmetric, zero iff equal, and satisfies the triangle
-	// inequality (it is the L1 metric).
-	m := New(8, 8)
-	f := func(aRaw, bRaw, cRaw uint8) bool {
-		a := NodeID(int(aRaw) % m.NumNodes())
-		b := NodeID(int(bRaw) % m.NumNodes())
-		c := NodeID(int(cRaw) % m.NumNodes())
-		dab, dba := m.HopDistance(a, b), m.HopDistance(b, a)
-		if dab != dba {
-			return false
-		}
-		if (dab == 0) != (a == b) {
-			return false
-		}
-		return m.HopDistance(a, c) <= dab+m.HopDistance(b, c)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestLinksCount(t *testing.T) {
-	// A WxH mesh has 2*(W*(H-1) + H*(W-1)) unidirectional links.
-	for _, dims := range [][2]int{{2, 2}, {4, 4}, {8, 8}, {3, 5}} {
-		m := New(dims[0], dims[1])
-		want := 2 * (dims[0]*(dims[1]-1) + dims[1]*(dims[0]-1))
-		if got := len(m.Links()); got != want {
-			t.Errorf("%v: %d links, want %d", m, got, want)
-		}
-	}
-}
-
-func TestLinksAreValidAndUnique(t *testing.T) {
-	m := New(5, 4)
-	seen := map[Link]bool{}
-	for _, l := range m.Links() {
-		if seen[l] {
-			t.Fatalf("duplicate link %+v", l)
-		}
-		seen[l] = true
-		if m.Neighbor(l.Src, l.Dir) != l.Dst {
-			t.Fatalf("link %+v inconsistent with Neighbor", l)
-		}
-	}
-}
-
-func TestNodesWithinPaperExample(t *testing.T) {
-	// Section 3: "There are 24 routers within 3 hops of router 27" on
-	// the 8x8 mesh.
-	m := New(8, 8)
-	if got := len(m.NodesWithin(27, 3)); got != 24 {
-		t.Errorf("NodesWithin(27, 3) = %d routers, want 24 (paper Section 3)", got)
-	}
-}
-
-func TestCorners(t *testing.T) {
-	m := New(8, 8)
-	want := []NodeID{0, 7, 56, 63}
-	got := m.Corners()
-	if len(got) != 4 {
-		t.Fatalf("Corners() = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("corner %d = %d, want %d", i, got[i], want[i])
-		}
-	}
-	// Degenerate meshes deduplicate.
-	if got := New(2, 2).Corners(); len(got) != 4 {
-		t.Errorf("2x2 corners = %v", got)
-	}
-}
-
-func TestStepMatchesNeighbor(t *testing.T) {
-	m := New(6, 6)
-	for _, d := range LinkDirections {
-		dx, dy := Step(d)
-		c := m.CoordOf(14)
-		want := m.NodeAt(Coord{X: c.X + dx, Y: c.Y + dy})
-		if got := m.Neighbor(14, d); got != want {
-			t.Errorf("Step/Neighbor mismatch for %v: %d vs %d", d, got, want)
-		}
 	}
 }
 

@@ -34,8 +34,8 @@ type Network struct {
 	pol scheme.Policy
 	// M is the fabric and RF its routing function (XY on the mesh,
 	// dateline dimension-order routing on torus and ring).
-	M       topo.Topology
-	RF      topo.RoutingFunction
+	M       *topo.Topology
+	RF      *topo.RoutingFunction
 	Routers []*router.Router
 	NIs     []*ni.NI
 	Fabric  *core.Fabric // nil unless the scheme uses punch signals
@@ -117,7 +117,7 @@ func New(cfg config.Config) (*Network, error) {
 
 	var fab *core.Fabric
 	if pol.Punches() {
-		fab = core.NewFabricOn(rf, cfg.PunchHops, cfg.PunchStrict, acct)
+		fab = core.NewFabric(rf, cfg.PunchHops, cfg.PunchStrict, acct)
 	}
 
 	n := &Network{

@@ -62,7 +62,7 @@ type FlitRecycler interface {
 type NI struct {
 	Node mesh.NodeID
 	cfg  *config.Config
-	m    topo.Topology
+	m    *topo.Topology
 	r    *router.Router
 	fab  PunchFabric // nil unless a Power Punch scheme is active
 	col  *stats.Collector
@@ -131,7 +131,7 @@ type NI struct {
 
 // New returns the NI for node id attached to router r. fab may be nil
 // (non-punch schemes); col must be non-nil.
-func New(id mesh.NodeID, m topo.Topology, cfg *config.Config, r *router.Router, fab *core.Fabric, col *stats.Collector) *NI {
+func New(id mesh.NodeID, m *topo.Topology, cfg *config.Config, r *router.Router, fab *core.Fabric, col *stats.Collector) *NI {
 	numVCs := r.NumVCs()
 	pol, _ := cfg.Scheme.Policy() // Validate vetted the name already
 	n := &NI{

@@ -17,7 +17,6 @@ import (
 // are drained manually.
 type rig struct {
 	cfg config.Config
-	m   *mesh.Mesh
 	r   *router.Router
 	ni  *NI
 	fab *core.Fabric
@@ -29,8 +28,10 @@ func newRig(t *testing.T, scheme config.Scheme) *rig {
 	cfg := config.Default()
 	cfg.Scheme = scheme
 	cfg.Width, cfg.Height = 4, 4
-	m := mesh.New(4, 4)
-	rf := topo.Routing(topo.FromMesh(m))
+	rf, err := topo.Build("mesh", 4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pol, err := scheme.Policy()
 	if err != nil {
 		t.Fatal(err)
@@ -40,10 +41,10 @@ func newRig(t *testing.T, scheme config.Scheme) *rig {
 	col := stats.New(0, 0)
 	var fab *core.Fabric
 	if pol.Punches() {
-		fab = core.NewFabric(m, cfg.PunchHops, false, nil)
+		fab = core.NewFabric(rf, cfg.PunchHops, false, nil)
 	}
-	n := New(5, topo.FromMesh(m), &cfg, r, fab, col)
-	return &rig{cfg: cfg, m: m, r: r, ni: n, fab: fab, col: col}
+	n := New(5, rf.Topology(), &cfg, r, fab, col)
+	return &rig{cfg: cfg, r: r, ni: n, fab: fab, col: col}
 }
 
 // step advances one cycle: NI signals, fabric, router, injection, credit

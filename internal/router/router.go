@@ -136,7 +136,7 @@ func (op *OutputPort) Owner(v int) int { return op.owner[v] }
 type Router struct {
 	ID   mesh.NodeID
 	cfg  *config.Config
-	rf   topo.RoutingFunction
+	rf   *topo.RoutingFunction
 	Ctrl *pg.Controller
 
 	in   [mesh.NumPorts]*InputPort
@@ -220,7 +220,7 @@ type Router struct {
 // created here with the configured link latency; the network wires them
 // to neighbors. ctrl must be non-nil (use a disabled controller for the
 // No-PG baseline). acct may be nil.
-func New(id mesh.NodeID, rf topo.RoutingFunction, cfg *config.Config, ctrl *pg.Controller, acct *power.Accountant) *Router {
+func New(id mesh.NodeID, rf *topo.RoutingFunction, cfg *config.Config, ctrl *pg.Controller, acct *power.Accountant) *Router {
 	numVCs := int(flit.NumVirtualNetworks) * cfg.VCsPerVN()
 	r := &Router{
 		ID:      id,

@@ -23,11 +23,19 @@ func testCfg() config.Config {
 	return cfg
 }
 
+// meshRF returns XY routing over cfg's mesh.
+func meshRF(t testing.TB, cfg *config.Config) *topo.RoutingFunction {
+	t.Helper()
+	rf, err := topo.Build("mesh", cfg.Width, cfg.Height)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rf
+}
+
 func newRouter(t *testing.T, id mesh.NodeID, cfg *config.Config) *router.Router {
 	t.Helper()
-	m := mesh.New(cfg.Width, cfg.Height)
-	ctrl := pg.New(false, 2, 1, 0)
-	return router.New(id, topo.Routing(topo.FromMesh(m)), cfg, ctrl, nil)
+	return router.New(id, meshRF(t, cfg), cfg, pg.New(false, 2, 1, 0), nil)
 }
 
 func mkPacket(id uint64, src, dst mesh.NodeID, size int) *flit.Packet {
@@ -215,9 +223,8 @@ func TestBlockedOutputAccruesPaperStats(t *testing.T) {
 func TestGatedRouterDoesNothing(t *testing.T) {
 	cfg := testCfg()
 	cfg.Scheme = config.ConvOptPG
-	m := mesh.New(cfg.Width, cfg.Height)
 	ctrl := pg.New(true, 2, 8, 10)
-	r := router.New(5, topo.Routing(topo.FromMesh(m)), &cfg, ctrl, nil)
+	r := router.New(5, meshRF(t, &cfg), &cfg, ctrl, nil)
 	// Gate the controller.
 	for i := 0; i < 5; i++ {
 		ctrl.Step(pg.Inputs{Empty: true})
@@ -627,12 +634,11 @@ type stepHarness struct {
 	noop   func(router.Credit)
 }
 
-func newStepHarness(occupied int) *stepHarness {
+func newStepHarness(t testing.TB, occupied int) *stepHarness {
 	cfg := config.Default()
 	cfg.Scheme = config.NoPG
-	m := mesh.New(cfg.Width, cfg.Height)
 	const id = 27 // (3,3)
-	r := router.New(id, topo.Routing(topo.FromMesh(m)), &cfg, pg.New(false, 2, 1, 0), nil)
+	r := router.New(id, meshRF(t, &cfg), &cfg, pg.New(false, 2, 1, 0), nil)
 	h := &stepHarness{r: r, noop: func(router.Credit) {}}
 	numVCs, perVN := r.NumVCs(), cfg.VCsPerVN()
 	total := mesh.NumPorts * numVCs
@@ -673,7 +679,7 @@ func (h *stepHarness) step() {
 func BenchmarkRouterStep(b *testing.B) {
 	for _, occupied := range []int{5, 15, 30, 45} {
 		b.Run(fmt.Sprintf("vcs=%d", occupied), func(b *testing.B) {
-			h := newStepHarness(occupied)
+			h := newStepHarness(b, occupied)
 			for i := 0; i < 100; i++ {
 				h.step()
 			}
@@ -690,7 +696,7 @@ func BenchmarkRouterStep(b *testing.B) {
 // zero allocations per cycle.
 func TestRouterStepAllocFree(t *testing.T) {
 	for _, occupied := range []int{5, 45} {
-		h := newStepHarness(occupied)
+		h := newStepHarness(t, occupied)
 		for i := 0; i < 100; i++ {
 			h.step()
 		}

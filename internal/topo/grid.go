@@ -6,69 +6,99 @@ import (
 	"powerpunch/internal/mesh"
 )
 
-// grid is a W x H grid with optional wraparound per dimension: the
-// torus wraps both, the ring is W x 1 wrapping X only. It reuses the
-// mesh package's row-major node numbering and coordinate frame, so a
-// torus node's ID matches the same node on a mesh of the same shape.
-type grid struct {
+// Topology is a W x H grid with optional wraparound per dimension: the
+// mesh wraps neither, the torus both, and the ring is W x 1 wrapping X
+// only. Nodes are numbered row-major in the mesh package's coordinate
+// frame (paper Figure 4: node 0 top-left, X+ east, Y+ south) and every
+// router has the five-port model (N/S/E/W + Local); a direction with
+// no link — off a mesh edge, or North on a ring — has no neighbor.
+type Topology struct {
 	kind         Kind
 	w, h         int
 	wrapX, wrapY bool
 	// nodes serves CoordOf and Neighbor from a table built by newGrid,
 	// so routing never divides.
-	nodes []mesh.NodeEntry
+	nodes []nodeEntry
 }
 
-// newGrid builds g's lookup table and returns g.
-func newGrid(g *grid) *grid {
-	g.nodes = mesh.NodeTable(g.NumNodes(), g.w, g.Neighbor)
-	return g
+// nodeEntry is one node's coordinate and link neighbors (by direction).
+type nodeEntry struct {
+	c   mesh.Coord
+	nbr [mesh.NumLinkDirs]mesh.NodeID
 }
 
-func (g *grid) Kind() Kind    { return g.kind }
-func (g *grid) Width() int    { return g.w }
-func (g *grid) Height() int   { return g.h }
-func (g *grid) NumNodes() int { return g.w * g.h }
-
-func (g *grid) Contains(id mesh.NodeID) bool {
-	return id >= 0 && int(id) < g.NumNodes()
-}
-
-func (g *grid) CoordOf(id mesh.NodeID) mesh.Coord {
-	if uint(id) < uint(len(g.nodes)) {
-		return g.nodes[id].C
+// newGrid builds t's lookup table and returns t. The table is filled
+// before it is installed, so Neighbor computes every entry from the
+// coordinates.
+func newGrid(t *Topology) *Topology {
+	nodes := make([]nodeEntry, t.NumNodes())
+	for id := range nodes {
+		nodes[id].c = mesh.Coord{X: id % t.w, Y: id / t.w}
+		for _, d := range mesh.LinkDirections {
+			nodes[id].nbr[d] = t.Neighbor(mesh.NodeID(id), d)
+		}
 	}
-	return mesh.Coord{X: int(id) % g.w, Y: int(id) / g.w}
+	t.nodes = nodes
+	return t
 }
 
-func (g *grid) NodeAt(c mesh.Coord) mesh.NodeID {
-	if c.X < 0 || c.X >= g.w || c.Y < 0 || c.Y >= g.h {
+// Kind identifies the fabric family.
+func (t *Topology) Kind() Kind { return t.kind }
+
+// Width is the number of columns.
+func (t *Topology) Width() int { return t.w }
+
+// Height is the number of rows (1 on a ring).
+func (t *Topology) Height() int { return t.h }
+
+// NumNodes is the total node count.
+func (t *Topology) NumNodes() int { return t.w * t.h }
+
+// Contains reports whether id is a valid node.
+func (t *Topology) Contains(id mesh.NodeID) bool {
+	return id >= 0 && int(id) < t.NumNodes()
+}
+
+// CoordOf returns the coordinate of node id.
+func (t *Topology) CoordOf(id mesh.NodeID) mesh.Coord {
+	if uint(id) < uint(len(t.nodes)) {
+		return t.nodes[id].c
+	}
+	return mesh.Coord{X: int(id) % t.w, Y: int(id) / t.w}
+}
+
+// NodeAt returns the node at c, or mesh.Invalid when c is outside the
+// grid.
+func (t *Topology) NodeAt(c mesh.Coord) mesh.NodeID {
+	if c.X < 0 || c.X >= t.w || c.Y < 0 || c.Y >= t.h {
 		return mesh.Invalid
 	}
-	return mesh.NodeID(c.Y*g.w + c.X)
+	return mesh.NodeID(c.Y*t.w + c.X)
 }
 
-func (g *grid) Neighbor(id mesh.NodeID, d mesh.Direction) mesh.NodeID {
-	if uint(id) < uint(len(g.nodes)) && uint(d) < mesh.NumLinkDirs {
-		return g.nodes[id].Nbr[d]
+// Neighbor returns the node one hop from id in direction d, or
+// mesh.Invalid when no such link exists (or d is Local).
+func (t *Topology) Neighbor(id mesh.NodeID, d mesh.Direction) mesh.NodeID {
+	if uint(id) < uint(len(t.nodes)) && uint(d) < mesh.NumLinkDirs {
+		return t.nodes[id].nbr[d]
 	}
-	if !g.Contains(id) {
+	if !t.Contains(id) {
 		return mesh.Invalid
 	}
-	c := g.CoordOf(id)
+	c := t.CoordOf(id)
 	dx, dy := mesh.Step(d)
 	if dx == 0 && dy == 0 {
 		return mesh.Invalid // Local or unknown direction
 	}
 	c.X += dx
 	c.Y += dy
-	if g.wrapX {
-		c.X = (c.X + g.w) % g.w
+	if t.wrapX {
+		c.X = (c.X + t.w) % t.w
 	}
-	if g.wrapY {
-		c.Y = (c.Y + g.h) % g.h
+	if t.wrapY {
+		c.Y = (c.Y + t.h) % t.h
 	}
-	return g.NodeAt(c)
+	return t.NodeAt(c)
 }
 
 // dimDist is the minimal distance along one dimension of size n,
@@ -84,31 +114,36 @@ func dimDist(a, b, n int, wrap bool) int {
 	return d
 }
 
-func (g *grid) HopDistance(a, b mesh.NodeID) int {
-	ca, cb := g.CoordOf(a), g.CoordOf(b)
-	return dimDist(ca.X, cb.X, g.w, g.wrapX) + dimDist(ca.Y, cb.Y, g.h, g.wrapY)
+// HopDistance is the minimal hop count between two nodes: the
+// Manhattan distance, taking the shorter way around wrapped dimensions.
+func (t *Topology) HopDistance(a, b mesh.NodeID) int {
+	ca, cb := t.CoordOf(a), t.CoordOf(b)
+	return dimDist(ca.X, cb.X, t.w, t.wrapX) + dimDist(ca.Y, cb.Y, t.h, t.wrapY)
 }
 
-func (g *grid) Diameter() int {
+// Diameter is the maximum HopDistance over all node pairs.
+func (t *Topology) Diameter() int {
 	d := 0
-	if g.wrapX {
-		d += g.w / 2
+	if t.wrapX {
+		d += t.w / 2
 	} else {
-		d += g.w - 1
+		d += t.w - 1
 	}
-	if g.wrapY {
-		d += g.h / 2
+	if t.wrapY {
+		d += t.h / 2
 	} else {
-		d += g.h - 1
+		d += t.h - 1
 	}
 	return d
 }
 
-func (g *grid) Links() []mesh.Link {
+// Links enumerates every unidirectional inter-router link in a
+// deterministic order (by source node, then N,S,E,W).
+func (t *Topology) Links() []mesh.Link {
 	var links []mesh.Link
-	for id := mesh.NodeID(0); g.Contains(id); id++ {
+	for id := mesh.NodeID(0); t.Contains(id); id++ {
 		for _, d := range mesh.LinkDirections {
-			if n := g.Neighbor(id, d); n != mesh.Invalid {
+			if n := t.Neighbor(id, d); n != mesh.Invalid {
 				links = append(links, mesh.Link{Src: id, Dst: n, Dir: d})
 			}
 		}
@@ -116,29 +151,35 @@ func (g *grid) Links() []mesh.Link {
 	return links
 }
 
-func (g *grid) NodesWithin(id mesh.NodeID, k int) []mesh.NodeID {
+// NodesWithin returns all nodes whose hop distance from id is in
+// [1, k], in ascending NodeID order (paper Section 3's "24 routers
+// within 3 hops of router 27").
+func (t *Topology) NodesWithin(id mesh.NodeID, k int) []mesh.NodeID {
 	var out []mesh.NodeID
-	for n := mesh.NodeID(0); g.Contains(n); n++ {
+	for n := mesh.NodeID(0); t.Contains(n); n++ {
 		if n == id {
 			continue
 		}
-		if d := g.HopDistance(id, n); d >= 1 && d <= k {
+		if d := t.HopDistance(id, n); d >= 1 && d <= k {
 			out = append(out, n)
 		}
 	}
 	return out
 }
 
-func (g *grid) Corners() []mesh.NodeID {
+// Corners returns the memory-controller placement sites: the four grid
+// corners in the order NW, NE, SW, SE, deduplicated for degenerate
+// shapes. The paper places one memory controller at each corner.
+func (t *Topology) Corners() []mesh.NodeID {
 	set := map[mesh.NodeID]bool{}
 	var out []mesh.NodeID
 	for _, c := range []mesh.Coord{
 		{X: 0, Y: 0},
-		{X: g.w - 1, Y: 0},
-		{X: 0, Y: g.h - 1},
-		{X: g.w - 1, Y: g.h - 1},
+		{X: t.w - 1, Y: 0},
+		{X: 0, Y: t.h - 1},
+		{X: t.w - 1, Y: t.h - 1},
 	} {
-		id := g.NodeAt(c)
+		id := t.NodeAt(c)
 		if !set[id] {
 			set[id] = true
 			out = append(out, id)
@@ -147,41 +188,54 @@ func (g *grid) Corners() []mesh.NodeID {
 	return out
 }
 
-func (g *grid) String() string {
-	if g.kind == KindRing {
-		return fmt.Sprintf("%d-node ring", g.w)
+// String is a short description such as "8x8 mesh" or "16-node ring".
+func (t *Topology) String() string {
+	switch t.kind {
+	case KindMesh:
+		return fmt.Sprintf("%dx%d mesh", t.w, t.h)
+	case KindRing:
+		return fmt.Sprintf("%d-node ring", t.w)
+	default:
+		return fmt.Sprintf("%dx%d torus", t.w, t.h)
 	}
-	return fmt.Sprintf("%dx%d torus", g.w, g.h)
 }
 
-// dorRouting is minimal dimension-order routing on a wrapped grid: X
-// first, then Y, taking the shorter way around each wrapped dimension
-// (ties break toward East/South so the function is deterministic).
+// RoutingFunction is deterministic minimal dimension-order routing over
+// a Topology: X first, then Y, taking the shorter way around each
+// wrapped dimension (ties break toward East/South so the function is
+// deterministic). The direction chosen at any intermediate router
+// extends the same path chosen at the source, so Path/Ahead walks are
+// well defined. On the mesh, where nothing wraps, this is the paper's
+// XY routing.
 //
-// Deadlock freedom uses the classic dateline argument, with the class
-// computed purely from coordinates rather than from per-packet state:
-// a packet departing East is in class 0 exactly when its destination
-// column is behind it (dst.X < cur.X — the wrap link from column W-1
-// to column 0 still lies ahead) and in class 1 otherwise. Class-0
-// eastward packets can therefore never occupy the link leaving column
-// 0 (that would need dst.X < 0), class-1 eastward packets can never
-// occupy the wrap link leaving column W-1 (crossing it requires
-// dst.X < cur.X, i.e. class 0), so each class's channel dependency
-// graph is a broken — acyclic — chain around the ring. The same holds
-// per direction in Y, and dimension order makes the X->Y dependencies
-// acyclic, so the whole fabric is deadlock-free with two VC classes.
-// A packet crossing the dateline moves from class 0 to class 1, never
-// back; the class resets at the X->Y turn, which is safe because the
-// dimensions' channel sets are disjoint.
-type dorRouting struct {
-	t *grid
+// Deadlock freedom on wrapped dimensions uses the classic dateline
+// argument, with the class computed purely from coordinates rather
+// than from per-packet state: a packet departing East is in class 0
+// exactly when its destination column is behind it (dst.X < cur.X —
+// the wrap link from column W-1 to column 0 still lies ahead) and in
+// class 1 otherwise. Class-0 eastward packets can therefore never
+// occupy the link leaving column 0 (that would need dst.X < 0),
+// class-1 eastward packets can never occupy the wrap link leaving
+// column W-1 (crossing it requires dst.X < cur.X, i.e. class 0), so
+// each class's channel dependency graph is a broken — acyclic — chain
+// around the ring. The same holds per direction in Y, and dimension
+// order makes the X->Y dependencies acyclic, so the whole fabric is
+// deadlock-free with two VC classes. A packet crossing the dateline
+// moves from class 0 to class 1, never back; the class resets at the
+// X->Y turn, which is safe because the dimensions' channel sets are
+// disjoint. The mesh has no cyclic channel dependencies and needs a
+// single class.
+type RoutingFunction struct {
+	t *Topology
 }
 
-func (r *dorRouting) Topology() Topology { return r.t }
+// Topology returns the fabric this function routes over.
+func (r *RoutingFunction) Topology() *Topology { return r.t }
 
 // dirAlong picks the travel direction along one dimension: neg/pos are
 // the directions of decreasing/increasing coordinate, n the dimension
-// size. With wrap it takes the shorter way, breaking ties toward pos.
+// size. Without wrap it is XY's comparison; with wrap it takes the
+// shorter way, breaking ties toward pos.
 func dirAlong(cur, dst, n int, wrap bool, neg, pos mesh.Direction) mesh.Direction {
 	if !wrap {
 		if dst > cur {
@@ -196,7 +250,10 @@ func dirAlong(cur, dst, n int, wrap bool, neg, pos mesh.Direction) mesh.Directio
 	return neg
 }
 
-func (r *dorRouting) Route(cur, dst mesh.NodeID) (mesh.Direction, error) {
+// Route computes the output direction at cur for a packet destined to
+// dst. It returns mesh.Local when cur == dst, and a *RouteError when
+// either node is not part of the fabric.
+func (r *RoutingFunction) Route(cur, dst mesh.NodeID) (mesh.Direction, error) {
 	if !r.t.Contains(cur) || !r.t.Contains(dst) {
 		return mesh.Local, routeError(r.t, cur, dst, "node outside the fabric")
 	}
@@ -210,7 +267,9 @@ func (r *dorRouting) Route(cur, dst mesh.NodeID) (mesh.Direction, error) {
 	return mesh.Local, nil
 }
 
-func (r *dorRouting) NextHop(cur, dst mesh.NodeID) (mesh.NodeID, error) {
+// NextHop returns the next router on the path from cur to dst (cur
+// itself when cur == dst), or a *RouteError for corrupted inputs.
+func (r *RoutingFunction) NextHop(cur, dst mesh.NodeID) (mesh.NodeID, error) {
 	d, err := r.Route(cur, dst)
 	if err != nil {
 		return mesh.Invalid, err
@@ -225,12 +284,15 @@ func (r *dorRouting) NextHop(cur, dst mesh.NodeID) (mesh.NodeID, error) {
 	return n, nil
 }
 
-// LegalTurn uses the same rule as XY: dimension order forbids Y-to-X
-// turns, and minimal routing never reverses. Direction along each
-// dimension is fixed for a packet's whole traversal (the shorter-way
-// choice is consistent hop to hop), so the no-reversal clause holds on
-// wrapped dimensions too.
-func (r *dorRouting) LegalTurn(in, out mesh.Direction) bool {
+// LegalTurn reports whether a packet travelling in direction `in` may
+// depart in direction `out`. Dimension order forbids Y-to-X turns and
+// minimal routing never reverses; injection (in == Local) and ejection
+// (out == Local) are always legal. Direction along each dimension is
+// fixed for a packet's whole traversal (the shorter-way choice is
+// consistent hop to hop), so the no-reversal clause holds on wrapped
+// dimensions too. The punch encoder uses this to prune impossible
+// signal combinations (paper Section 4.1, step 3).
+func (r *RoutingFunction) LegalTurn(in, out mesh.Direction) bool {
 	if in == mesh.Local || out == mesh.Local {
 		return true
 	}
@@ -243,9 +305,24 @@ func (r *dorRouting) LegalTurn(in, out mesh.Direction) bool {
 	return true
 }
 
-func (r *dorRouting) VCClasses() int { return 2 }
+// VCClasses is the number of dateline VC classes the function needs
+// for deadlock freedom: 1 when nothing wraps (the mesh), 2 otherwise.
+func (r *RoutingFunction) VCClasses() int {
+	if r.t.wrapX || r.t.wrapY {
+		return 2
+	}
+	return 1
+}
 
-func (r *dorRouting) ClassFor(cur, dst mesh.NodeID, d mesh.Direction) int {
+// ClassFor returns the dateline class (in [0, VCClasses())) a packet
+// at cur destined to dst must use when departing in direction d.
+// Class 0 is the pre-dateline class (the packet still has the wrap
+// link of d's dimension ahead of it); class 1 is post-dateline. With
+// VCClasses() == 1 it always returns 0.
+func (r *RoutingFunction) ClassFor(cur, dst mesh.NodeID, d mesh.Direction) int {
+	if r.VCClasses() == 1 {
+		return 0
+	}
 	cc, dc := r.t.CoordOf(cur), r.t.CoordOf(dst)
 	switch d {
 	case mesh.East:
@@ -268,9 +345,15 @@ func (r *dorRouting) ClassFor(cur, dst mesh.NodeID, d mesh.Direction) int {
 	return 1
 }
 
-func (r *dorRouting) String() string {
-	if r.t.kind == KindRing {
+// String names the algorithm: "XY" on the mesh, "torus-DOR" or
+// "ring-DOR" on the wrapped fabrics.
+func (r *RoutingFunction) String() string {
+	switch r.t.kind {
+	case KindMesh:
+		return "XY"
+	case KindRing:
 		return "ring-DOR"
+	default:
+		return "torus-DOR"
 	}
-	return "torus-DOR"
 }

@@ -1,15 +1,17 @@
-// Package topo abstracts the fabric underneath the simulator: a
-// Topology enumerates nodes, ports, and links; a RoutingFunction turns
-// (current, destination) pairs into output directions and exposes the
-// legal-turn predicate the punch encoder prunes with.
+// Package topo is the fabric underneath the simulator: one row-major
+// W x H grid (Topology) with a wraparound flag per dimension, and the
+// minimal dimension-order routing over it (RoutingFunction), which
+// turns (current, destination) pairs into output directions and exposes
+// the legal-turn predicate the punch encoder prunes with.
 //
-// The 2D mesh with XY dimension-order routing (package mesh + package
-// routing) is one implementation; the torus (wraparound links, deadlock
-// freedom via a dateline VC class on wrap links) and the ring (a 1xN
-// degenerate torus) are the others. Everything above this package —
+// The paper's 2D mesh is the grid with neither dimension wrapped, and
+// dimension-order routing on it is XY routing with a single VC class.
+// The torus wraps both dimensions and the ring (a 1xN degenerate torus)
+// wraps X only; both break their channel-dependency cycles with a
+// dateline VC class on the wrap links. Everything above this package —
 // encoder, fabric, router, network, checks — is written against these
-// two interfaces, so the paper's Table 1 code books fall out of the
-// XY-mesh special case rather than being hardwired.
+// two types, so the paper's Table 1 code books fall out of the
+// unwrapped case rather than being hardwired.
 package topo
 
 import (
@@ -60,46 +62,6 @@ func ParseKind(s string) (Kind, error) {
 	}
 }
 
-// Topology enumerates the nodes, coordinates, and unidirectional links
-// of a fabric. All fabrics use the mesh package's coordinate frame and
-// five-port router model (N/S/E/W + Local); a direction with no link —
-// North on a ring, say — simply has no neighbor.
-type Topology interface {
-	// Kind identifies the fabric family.
-	Kind() Kind
-	// Width and Height are the grid dimensions (a ring is Width x 1).
-	Width() int
-	Height() int
-	// NumNodes is the total node count.
-	NumNodes() int
-	// Contains reports whether id is a valid node.
-	Contains(id mesh.NodeID) bool
-	// CoordOf returns the coordinate of node id.
-	CoordOf(id mesh.NodeID) mesh.Coord
-	// NodeAt returns the node at c, or mesh.Invalid when c is outside
-	// the grid.
-	NodeAt(c mesh.Coord) mesh.NodeID
-	// Neighbor returns the node one hop from id in direction d, or
-	// mesh.Invalid when no such link exists (or d is Local).
-	Neighbor(id mesh.NodeID, d mesh.Direction) mesh.NodeID
-	// HopDistance is the minimal hop count between two nodes (wrap-aware
-	// on torus and ring).
-	HopDistance(a, b mesh.NodeID) int
-	// Diameter is the maximum HopDistance over all node pairs.
-	Diameter() int
-	// Links enumerates every unidirectional inter-router link in a
-	// deterministic order (by source node, then N,S,E,W).
-	Links() []mesh.Link
-	// NodesWithin returns all nodes whose hop distance from id is in
-	// [1, k], in ascending NodeID order.
-	NodesWithin(id mesh.NodeID, k int) []mesh.NodeID
-	// Corners returns the memory-controller placement sites: the four
-	// grid corners (deduplicated for degenerate shapes).
-	Corners() []mesh.NodeID
-	// String is a short description such as "8x8 mesh" or "16-node ring".
-	String() string
-}
-
 // RouteError reports a routing query over nodes the fabric cannot
 // route between — a corrupted destination, typically. It carries the
 // offending coordinates so the failure is diagnosable without a
@@ -117,51 +79,20 @@ func (e *RouteError) Error() string {
 		e.Topo, e.Cur, e.CurCoord.X, e.CurCoord.Y, e.Dst, e.DstCoord.X, e.DstCoord.Y, e.Reason)
 }
 
-// RoutingFunction is a deterministic minimal routing algorithm over a
-// Topology. Implementations must be consistent along a path: the
-// direction chosen at any intermediate router extends the same minimal
-// path chosen at the source, so Path/Ahead walks are well defined.
-type RoutingFunction interface {
-	// Topology returns the fabric this function routes over.
-	Topology() Topology
-	// Route computes the output direction at cur for a packet destined
-	// to dst. It returns mesh.Local when cur == dst, and a *RouteError
-	// when either node is not part of the fabric.
-	Route(cur, dst mesh.NodeID) (mesh.Direction, error)
-	// NextHop returns the next router on the path from cur to dst (cur
-	// itself when cur == dst), or a *RouteError for corrupted inputs.
-	NextHop(cur, dst mesh.NodeID) (mesh.NodeID, error)
-	// LegalTurn reports whether a packet travelling in direction `in`
-	// may depart in direction `out`. The punch encoder uses this to
-	// prune impossible signal combinations (paper Section 4.1, step 3).
-	LegalTurn(in, out mesh.Direction) bool
-	// VCClasses is the number of dateline VC classes the function needs
-	// for deadlock freedom: 1 on the mesh, 2 on fabrics with wrap links.
-	VCClasses() int
-	// ClassFor returns the dateline class (in [0, VCClasses())) a packet
-	// at cur destined to dst must use when departing in direction d.
-	// Class 0 is the pre-dateline class (the packet still has the wrap
-	// link of d's dimension ahead of it); class 1 is post-dateline.
-	// With VCClasses() == 1 it always returns 0.
-	ClassFor(cur, dst mesh.NodeID, d mesh.Direction) int
-	// String names the algorithm, e.g. "XY" or "torus-DOR".
-	String() string
-}
-
 // New constructs the topology of the given kind. Width and height carry
 // the same meaning as config.Width/Height; a ring requires height 1.
-func New(k Kind, width, height int) (Topology, error) {
+func New(k Kind, width, height int) (*Topology, error) {
 	switch k {
 	case KindMesh:
 		if width < 1 || height < 1 {
 			return nil, fmt.Errorf("topo: invalid mesh dimensions %dx%d", width, height)
 		}
-		return FromMesh(mesh.New(width, height)), nil
+		return newGrid(&Topology{kind: KindMesh, w: width, h: height}), nil
 	case KindTorus:
 		if width < 2 || height < 2 {
 			return nil, fmt.Errorf("topo: torus needs both dimensions >= 2, got %dx%d", width, height)
 		}
-		return newGrid(&grid{kind: KindTorus, w: width, h: height, wrapX: true, wrapY: true}), nil
+		return newGrid(&Topology{kind: KindTorus, w: width, h: height, wrapX: true, wrapY: true}), nil
 	case KindRing:
 		if height != 1 {
 			return nil, fmt.Errorf("topo: ring needs height 1, got %dx%d", width, height)
@@ -169,29 +100,20 @@ func New(k Kind, width, height int) (Topology, error) {
 		if width < 2 {
 			return nil, fmt.Errorf("topo: ring needs >= 2 nodes, got %d", width)
 		}
-		return newGrid(&grid{kind: KindRing, w: width, h: 1, wrapX: true}), nil
+		return newGrid(&Topology{kind: KindRing, w: width, h: 1, wrapX: true}), nil
 	default:
 		return nil, fmt.Errorf("topo: unknown kind %v", k)
 	}
 }
 
-// Routing returns the canonical deterministic routing function for t:
-// XY on the mesh, minimal dimension-order routing with dateline VC
-// classes on torus and ring.
-func Routing(t Topology) RoutingFunction {
-	switch tt := t.(type) {
-	case *meshTopo:
-		return &xyRouting{t: tt}
-	case *grid:
-		return &dorRouting{t: tt}
-	default:
-		panic(fmt.Sprintf("topo: no routing function for topology %T", t))
-	}
-}
+// Routing returns the dimension-order routing function over t: XY on
+// the mesh, the shorter way around each wrapped dimension with
+// dateline VC classes on torus and ring.
+func Routing(t *Topology) *RoutingFunction { return &RoutingFunction{t: t} }
 
 // Build resolves a config-level topology name and dimensions into a
 // routing function (and, via Topology(), the fabric itself).
-func Build(name string, width, height int) (RoutingFunction, error) {
+func Build(name string, width, height int) (*RoutingFunction, error) {
 	k, err := ParseKind(name)
 	if err != nil {
 		return nil, err
@@ -205,7 +127,7 @@ func Build(name string, width, height int) (RoutingFunction, error) {
 
 // MustRoute is Route for callers on paths where a routing error is a
 // programming error; it panics with the underlying *RouteError.
-func MustRoute(rf RoutingFunction, cur, dst mesh.NodeID) mesh.Direction {
+func MustRoute(rf *RoutingFunction, cur, dst mesh.NodeID) mesh.Direction {
 	d, err := rf.Route(cur, dst)
 	if err != nil {
 		panic(err)
@@ -215,7 +137,7 @@ func MustRoute(rf RoutingFunction, cur, dst mesh.NodeID) mesh.Direction {
 
 // MustNextHop is NextHop for callers on paths where a routing error is
 // a programming error; it panics with the underlying *RouteError.
-func MustNextHop(rf RoutingFunction, cur, dst mesh.NodeID) mesh.NodeID {
+func MustNextHop(rf *RoutingFunction, cur, dst mesh.NodeID) mesh.NodeID {
 	n, err := rf.NextHop(cur, dst)
 	if err != nil {
 		panic(err)
@@ -225,7 +147,7 @@ func MustNextHop(rf RoutingFunction, cur, dst mesh.NodeID) mesh.NodeID {
 
 // Path returns the full routed path from src to dst, inclusive of both
 // endpoints. Path(rf, src, src) returns [src].
-func Path(rf RoutingFunction, src, dst mesh.NodeID) []mesh.NodeID {
+func Path(rf *RoutingFunction, src, dst mesh.NodeID) []mesh.NodeID {
 	path := []mesh.NodeID{src}
 	cur := src
 	for cur != dst {
@@ -238,7 +160,7 @@ func Path(rf RoutingFunction, src, dst mesh.NodeID) []mesh.NodeID {
 // Ahead returns the router k hops ahead of cur on the path to dst. If
 // fewer than k hops remain it returns dst; Ahead(rf, cur, dst, 0) is
 // cur. This is the paper's targeted-router computation.
-func Ahead(rf RoutingFunction, cur, dst mesh.NodeID, k int) mesh.NodeID {
+func Ahead(rf *RoutingFunction, cur, dst mesh.NodeID, k int) mesh.NodeID {
 	node := cur
 	for i := 0; i < k && node != dst; i++ {
 		node = MustNextHop(rf, node, dst)
@@ -246,16 +168,9 @@ func Ahead(rf RoutingFunction, cur, dst mesh.NodeID, k int) mesh.NodeID {
 	return node
 }
 
-// HopsRemaining returns the hop count left on the path from cur to dst.
-// The routing functions here are minimal, so this is the topology's hop
-// distance.
-func HopsRemaining(rf RoutingFunction, cur, dst mesh.NodeID) int {
-	return rf.Topology().HopDistance(cur, dst)
-}
-
 // OnPath reports whether node lies on the routed path from src to dst
 // (inclusive of the endpoints).
-func OnPath(rf RoutingFunction, src, dst, node mesh.NodeID) bool {
+func OnPath(rf *RoutingFunction, src, dst, node mesh.NodeID) bool {
 	cur := src
 	for {
 		if cur == node {
@@ -270,7 +185,7 @@ func OnPath(rf RoutingFunction, src, dst, node mesh.NodeID) bool {
 
 // PathUsesLink reports whether the routed path from src to dst
 // traverses the directed link a -> b.
-func PathUsesLink(rf RoutingFunction, src, dst, a, b mesh.NodeID) bool {
+func PathUsesLink(rf *RoutingFunction, src, dst, a, b mesh.NodeID) bool {
 	cur := src
 	for cur != dst {
 		next := MustNextHop(rf, cur, dst)
@@ -284,7 +199,7 @@ func PathUsesLink(rf RoutingFunction, src, dst, a, b mesh.NodeID) bool {
 
 // routeError builds a *RouteError with coordinates filled in where the
 // nodes are part of the fabric.
-func routeError(t Topology, cur, dst mesh.NodeID, reason string) *RouteError {
+func routeError(t *Topology, cur, dst mesh.NodeID, reason string) *RouteError {
 	e := &RouteError{Topo: t.String(), Cur: cur, Dst: dst, Reason: reason}
 	if t.Contains(cur) {
 		e.CurCoord = t.CoordOf(cur)

@@ -9,7 +9,6 @@ import (
 	"powerpunch/internal/flit"
 	"powerpunch/internal/mesh"
 	"powerpunch/internal/network"
-	"powerpunch/internal/topo"
 )
 
 // FuzzReadTrace hardens the trace parser against malformed input: it
@@ -21,7 +20,7 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add("")
 	f.Add("{")
 	f.Add(`{"t":-1,"src":999}`)
-	m := topo.FromMesh(mesh.New(4, 4))
+	m := meshOf(4, 4)
 	f.Fuzz(func(t *testing.T, input string) {
 		tr, err := ReadTrace(strings.NewReader(input))
 		if err != nil {

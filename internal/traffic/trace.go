@@ -99,7 +99,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 
 // Validate checks the trace against a topology: events in cycle order,
 // endpoints on the fabric, sane sizes.
-func (t *Trace) Validate(m topo.Topology) error {
+func (t *Trace) Validate(m *topo.Topology) error {
 	var prev int64
 	for i, e := range t.Events {
 		if e.Now < prev {

@@ -6,9 +6,7 @@ import (
 	"testing"
 
 	"powerpunch/internal/config"
-	"powerpunch/internal/mesh"
 	"powerpunch/internal/network"
-	"powerpunch/internal/topo"
 )
 
 func smallCfg(s config.Scheme) config.Config {
@@ -40,7 +38,7 @@ func TestRecordCapturesAllSubmissions(t *testing.T) {
 	if len(tr.Events) == 0 {
 		t.Fatal("empty trace")
 	}
-	if err := tr.Validate(topo.FromMesh(mesh.New(4, 4))); err != nil {
+	if err := tr.Validate(meshOf(4, 4)); err != nil {
 		t.Fatalf("recorded trace invalid: %v", err)
 	}
 }
@@ -111,7 +109,7 @@ func TestReadTraceRejectsGarbage(t *testing.T) {
 }
 
 func TestValidateRejectsBadTraces(t *testing.T) {
-	m := topo.FromMesh(mesh.New(4, 4))
+	m := meshOf(4, 4)
 	cases := []Trace{
 		{Events: []Event{{Now: 5}, {Now: 3, Src: 0, Dst: 1, Size: 1}}}, // out of order
 		{Events: []Event{{Now: 0, Src: 0, Dst: 99, Size: 1}}},          // off mesh

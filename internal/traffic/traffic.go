@@ -19,7 +19,7 @@ import (
 type Pattern interface {
 	// Dst returns the destination for a packet injected at src. It may
 	// consult rng (uniform/hotspot) or be deterministic (permutations).
-	Dst(t topo.Topology, src mesh.NodeID, rng *rand.Rand) mesh.NodeID
+	Dst(t *topo.Topology, src mesh.NodeID, rng *rand.Rand) mesh.NodeID
 	// Name returns the pattern's conventional name.
 	Name() string
 }
@@ -32,7 +32,7 @@ type UniformRandom struct{}
 func (UniformRandom) Name() string { return "uniform" }
 
 // Dst implements Pattern.
-func (UniformRandom) Dst(t topo.Topology, src mesh.NodeID, rng *rand.Rand) mesh.NodeID {
+func (UniformRandom) Dst(t *topo.Topology, src mesh.NodeID, rng *rand.Rand) mesh.NodeID {
 	n := t.NumNodes()
 	d := mesh.NodeID(rng.Intn(n - 1))
 	if d >= src {
@@ -48,7 +48,7 @@ type Transpose struct{}
 func (Transpose) Name() string { return "transpose" }
 
 // Dst implements Pattern.
-func (Transpose) Dst(t topo.Topology, src mesh.NodeID, _ *rand.Rand) mesh.NodeID {
+func (Transpose) Dst(t *topo.Topology, src mesh.NodeID, _ *rand.Rand) mesh.NodeID {
 	c := t.CoordOf(src)
 	// For non-square meshes, mirror within bounds.
 	d := mesh.Coord{X: c.Y % t.Width(), Y: c.X % t.Height()}
@@ -62,7 +62,7 @@ type BitComplement struct{}
 func (BitComplement) Name() string { return "bit-complement" }
 
 // Dst implements Pattern.
-func (BitComplement) Dst(t topo.Topology, src mesh.NodeID, _ *rand.Rand) mesh.NodeID {
+func (BitComplement) Dst(t *topo.Topology, src mesh.NodeID, _ *rand.Rand) mesh.NodeID {
 	c := t.CoordOf(src)
 	return t.NodeAt(mesh.Coord{X: t.Width() - 1 - c.X, Y: t.Height() - 1 - c.Y})
 }
@@ -75,7 +75,7 @@ type Tornado struct{}
 func (Tornado) Name() string { return "tornado" }
 
 // Dst implements Pattern.
-func (Tornado) Dst(t topo.Topology, src mesh.NodeID, _ *rand.Rand) mesh.NodeID {
+func (Tornado) Dst(t *topo.Topology, src mesh.NodeID, _ *rand.Rand) mesh.NodeID {
 	c := t.CoordOf(src)
 	shift := t.Width()/2 - 1
 	if shift < 1 {
@@ -92,7 +92,7 @@ type Neighbor struct{}
 func (Neighbor) Name() string { return "neighbor" }
 
 // Dst implements Pattern.
-func (Neighbor) Dst(t topo.Topology, src mesh.NodeID, _ *rand.Rand) mesh.NodeID {
+func (Neighbor) Dst(t *topo.Topology, src mesh.NodeID, _ *rand.Rand) mesh.NodeID {
 	c := t.CoordOf(src)
 	return t.NodeAt(mesh.Coord{X: (c.X + 1) % t.Width(), Y: c.Y})
 }
@@ -108,7 +108,7 @@ type Hotspot struct {
 func (h Hotspot) Name() string { return fmt.Sprintf("hotspot(%d,%.2f)", h.Node, h.Frac) }
 
 // Dst implements Pattern.
-func (h Hotspot) Dst(t topo.Topology, src mesh.NodeID, rng *rand.Rand) mesh.NodeID {
+func (h Hotspot) Dst(t *topo.Topology, src mesh.NodeID, rng *rand.Rand) mesh.NodeID {
 	if src != h.Node && rng.Float64() < h.Frac {
 		return h.Node
 	}

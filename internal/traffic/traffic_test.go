@@ -12,8 +12,17 @@ import (
 	"powerpunch/internal/topo"
 )
 
+// meshOf returns a w x h mesh.
+func meshOf(w, h int) *topo.Topology {
+	rf, err := topo.Build("mesh", w, h)
+	if err != nil {
+		panic(err)
+	}
+	return rf.Topology()
+}
+
 func TestPermutationPatternsAreDeterministic(t *testing.T) {
-	m := topo.FromMesh(mesh.New(8, 8))
+	m := meshOf(8, 8)
 	for _, p := range []Pattern{Transpose{}, BitComplement{}, Tornado{}, Neighbor{}} {
 		for src := mesh.NodeID(0); m.Contains(src); src++ {
 			d1 := p.Dst(m, src, nil)
@@ -29,7 +38,7 @@ func TestPermutationPatternsAreDeterministic(t *testing.T) {
 }
 
 func TestTransposeMirrorsCoordinates(t *testing.T) {
-	m := topo.FromMesh(mesh.New(8, 8))
+	m := meshOf(8, 8)
 	// Node (x=5,y=2) = 21 -> (x=2,y=5) = 42.
 	if got := (Transpose{}).Dst(m, 21, nil); got != 42 {
 		t.Errorf("transpose(21) = %d, want 42", got)
@@ -41,7 +50,7 @@ func TestTransposeMirrorsCoordinates(t *testing.T) {
 }
 
 func TestBitComplementIsInvolution(t *testing.T) {
-	m := topo.FromMesh(mesh.New(8, 8))
+	m := meshOf(8, 8)
 	f := func(raw uint8) bool {
 		src := mesh.NodeID(int(raw) % m.NumNodes())
 		p := BitComplement{}
@@ -56,7 +65,7 @@ func TestBitComplementIsInvolution(t *testing.T) {
 }
 
 func TestUniformNeverSelfSends(t *testing.T) {
-	m := topo.FromMesh(mesh.New(4, 4))
+	m := meshOf(4, 4)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 2000; i++ {
 		src := mesh.NodeID(i % 16)
@@ -67,7 +76,7 @@ func TestUniformNeverSelfSends(t *testing.T) {
 }
 
 func TestUniformCoversAllDestinations(t *testing.T) {
-	m := topo.FromMesh(mesh.New(4, 4))
+	m := meshOf(4, 4)
 	rng := rand.New(rand.NewSource(2))
 	seen := map[mesh.NodeID]bool{}
 	for i := 0; i < 5000; i++ {
@@ -79,7 +88,7 @@ func TestUniformCoversAllDestinations(t *testing.T) {
 }
 
 func TestHotspotBias(t *testing.T) {
-	m := topo.FromMesh(mesh.New(4, 4))
+	m := meshOf(4, 4)
 	rng := rand.New(rand.NewSource(3))
 	h := Hotspot{Node: 5, Frac: 0.5}
 	hits := 0

@@ -321,7 +321,7 @@ func EncodePunchChannel(spec TopologySpec, r NodeID, dir Direction, hops int) (*
 	if err != nil {
 		return nil, err
 	}
-	return core.EncodeChannelOn(rf, r, dir, hops), nil
+	return core.EncodeChannel(rf, r, dir, hops), nil
 }
 
 // Experiments re-exports the per-figure drivers for programmatic use.
