@@ -28,8 +28,12 @@ vet:
 		exit 1; \
 	fi
 
+# internal/network runs as its own leg: under the race detector its soak
+# tests take 7-10 minutes on a 2-vCPU host, too close to go test's
+# 10-minute default per-package timeout, so that leg gets 30 minutes.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race $$($(GO) list ./... | grep -v '/internal/network$$')
+	$(GO) test -race -timeout 30m ./internal/network/
 
 # Short soak with the invariant engine on every cycle, all schemes
 # (TestSoakWithChecks), plus the long-run soak's -short stub.
@@ -146,13 +150,14 @@ bench-check: build
 	$(GO) run ./cmd/noctrace bench-diff -base $(BASELINE) -new "$$new" -max-regress $(MAXREGRESS)
 
 # Optional: extended coverage-guided fuzzing of the trace parser, the
-# end-to-end fuzz harness and the punch encoder on random fabrics
-# (FUZZTIME per target).
+# end-to-end fuzz harness, the punch encoder on random fabrics and the
+# punch fabric against its dense reference (FUZZTIME per target).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/traffic/ -run FuzzReadTrace -fuzz FuzzReadTrace -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/traffic/ -run FuzzNetworkEndToEnd -fuzz FuzzNetworkEndToEnd -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzEncodeChannel -fuzz FuzzEncodeChannel -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/ -run FuzzFabricMatchesDense -fuzz FuzzFabricMatchesDense -fuzztime $(FUZZTIME)
 
 clean:
 	$(GO) clean ./...

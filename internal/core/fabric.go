@@ -39,6 +39,12 @@ type FabricStats struct {
 // Signals written in cycle t reach the next router's controller in cycle
 // t+1 (one link per cycle); relay through a controller is combinational
 // (paper Section 6.6) and adds no extra latency.
+//
+// Every punch register holds a reach set: one uint64 per node whose bit
+// b stands for the target at routed offset offs[b] from that node (see
+// topo.RoutingFunction.Offset), over every offset within the hop budget.
+// Punches that meet merge by OR, as the paper's Table-1 channels merge
+// them without loss.
 type Fabric struct {
 	rf   *topo.RoutingFunction
 	t    *topo.Topology
@@ -49,18 +55,25 @@ type Fabric struct {
 	strict bool
 	acct   *power.Accountant
 
-	// inbox[n]: targets whose punch arrived at n this cycle.
-	inbox [][]mesh.NodeID
-	// localHold[n]: NI asserted an injection-node punch at n this cycle.
-	localHold []bool
-	// pending[n]: targets asserted at n this cycle (sources + local).
-	pending [][]mesh.NodeID
-	// outbox[n][d]: targets leaving n toward direction d this cycle.
-	outbox [][mesh.NumLinkDirs][]mesh.NodeID
+	// inbox[n]: targets whose punch arrived at n this cycle. Step reads
+	// it and delivers the next cycle's arrivals into next, then swaps.
+	inbox, next []uint64
+	// pending[n]: targets asserted at n this cycle by source emissions.
+	pending []uint64
 	// hold[n]: result of Step — n must stay/awake this cycle.
 	hold []bool
-	// strictUsed[n][d]: a source emission already used channel (n,d).
-	strictUsed [][mesh.NumLinkDirs]bool
+
+	// The register layout, shared by every node. offs[b] is the offset
+	// bit b stands for and bitAt[(dy+hops)*(2*hops+1)+dx+hops] the bit of
+	// offset (dx, dy); self is the bit of the zero offset. route[d]
+	// holds the bits whose first hop leaves by link direction d, and
+	// moved[d][b] is bit b of route[d] one hop on, in the neighbour's
+	// register.
+	offs  []offset
+	bitAt []uint8
+	self  uint64
+	route [mesh.NumLinkDirs]uint64
+	moved [mesh.NumLinkDirs][64]uint64
 
 	// verify: check every channel's merged set against its Table-1 code
 	// book (strict mode only; panics on violation). Code books are
@@ -78,15 +91,20 @@ type Fabric struct {
 	// set of nodes the last Step computed a hold for. The fabric needs
 	// stepping only while any of the three is live (NeedsStep); skipping
 	// Step otherwise is safe because all per-cycle state (pending,
-	// localHold, outbox, hold) is provably empty/false then.
+	// inbox, hold, live) is provably empty/false then.
 	emitted  bool
 	inboxAny bool
 	heldList []mesh.NodeID
 
 	// live is the bitset of nodes the next Step visits: those with a
-	// pending target, a local hold or an inbound target. Step swaps it
+	// local hold (an NI punch), a pending target or an inbound target,
+	// which are exactly the nodes the next Step holds. Step swaps it
 	// into stepping and walks that in ascending order.
 	live, stepping []uint64
+
+	// targets is the scratch list InboxTargets and verification decode
+	// a register into.
+	targets []mesh.NodeID
 
 	// bus, when non-nil, receives punch emit/local/merge/arrive/hold
 	// events.
@@ -95,46 +113,73 @@ type Fabric struct {
 	stats FabricStats
 }
 
+// offset is a routed offset from a register's node.
+type offset struct{ dx, dy int }
+
+// maxPunchHops is the largest hop budget whose reach set fits a
+// register: 2h²+2h+1 offsets, 61 at h = 5.
+const maxPunchHops = 5
+
 // NewFabric returns a punch fabric routed by rf with the given
-// hop-count slack (paper default 3). acct may be nil to skip energy
-// accounting.
+// hop-count slack (paper default 3, at most maxPunchHops). acct may be
+// nil to skip energy accounting.
 func NewFabric(rf *topo.RoutingFunction, hops int, strict bool, acct *power.Accountant) *Fabric {
-	if hops < 1 {
-		panic(fmt.Sprintf("core: punch hops must be >= 1, got %d", hops))
+	if hops < 1 || hops > maxPunchHops {
+		panic(fmt.Sprintf("core: punch hops must be in [1, %d], got %d", maxPunchHops, hops))
 	}
 	n := rf.Topology().NumNodes()
 	f := &Fabric{
-		rf:         rf,
-		t:          rf.Topology(),
-		hops:       hops,
-		strict:     strict,
-		acct:       acct,
-		inbox:      make([][]mesh.NodeID, n),
-		localHold:  make([]bool, n),
-		pending:    make([][]mesh.NodeID, n),
-		outbox:     make([][mesh.NumLinkDirs][]mesh.NodeID, n),
-		hold:       make([]bool, n),
-		strictUsed: make([][mesh.NumLinkDirs]bool, n),
-		live:       make([]uint64, (n+63)/64),
-		stepping:   make([]uint64, (n+63)/64),
+		rf:       rf,
+		t:        rf.Topology(),
+		hops:     hops,
+		strict:   strict,
+		acct:     acct,
+		inbox:    make([]uint64, n),
+		next:     make([]uint64, n),
+		pending:  make([]uint64, n),
+		hold:     make([]bool, n),
+		live:     make([]uint64, (n+63)/64),
+		stepping: make([]uint64, (n+63)/64),
 	}
-	// The per-node target lists are recycled ([:0]) every cycle and
-	// their occupancy is bounded by the local reach set, so a small
-	// preallocation keeps Step allocation-free in the steady state:
-	// without it, large fabrics pay a long tail of first-time-growth
-	// appends (each node's lists must individually hit their high-water
-	// mark before the hot path stops allocating).
-	const punchListCap = 16
-	for i := 0; i < n; i++ {
-		// The inbox merges targets from all four directions, so it
-		// carries a deeper high-water mark than the per-direction lists.
-		f.inbox[i] = make([]mesh.NodeID, 0, 2*punchListCap)
-		f.pending[i] = make([]mesh.NodeID, 0, punchListCap)
-		for d := range f.outbox[i] {
-			f.outbox[i][d] = make([]mesh.NodeID, 0, punchListCap)
+	// Lay the reach set out row-major (dy, then dx), so the bit order
+	// is the node order on an unwrapped fabric.
+	side := 2*hops + 1
+	f.bitAt = make([]uint8, side*side)
+	for dy := -hops; dy <= hops; dy++ {
+		for dx := -hops; dx <= hops; dx++ {
+			if abs(dx)+abs(dy) <= hops {
+				f.bitAt[(dy+hops)*side+dx+hops] = uint8(len(f.offs))
+				f.offs = append(f.offs, offset{dx, dy})
+			}
 		}
 	}
+	for b, o := range f.offs {
+		d := topo.OffsetDirection(o.dx, o.dy)
+		if d == mesh.Local {
+			f.self = 1 << b
+			continue
+		}
+		sx, sy := mesh.Step(d)
+		f.route[d] |= 1 << b
+		f.moved[d][b] = 1 << f.bitOf(o.dx-sx, o.dy-sy)
+	}
 	return f
+}
+
+// bitOf returns the register bit of offset (dx, dy).
+func (f *Fabric) bitOf(dx, dy int) uint8 {
+	return f.bitAt[(dy+f.hops)*(2*f.hops+1)+dx+f.hops]
+}
+
+// decode lists the targets in register m of node n, in ascending bit
+// order, into the fabric's scratch list.
+func (f *Fabric) decode(n int, m uint64) []mesh.NodeID {
+	f.targets = f.targets[:0]
+	for ; m != 0; m &= m - 1 {
+		o := f.offs[bits.TrailingZeros64(m)]
+		f.targets = append(f.targets, f.t.Translate(mesh.NodeID(n), o.dx, o.dy))
+	}
+	return f.targets
 }
 
 // Hops returns the configured punch hop-count slack.
@@ -158,14 +203,14 @@ func (f *Fabric) SetVerifyEncodable(v bool) {
 }
 
 // codebook returns (building lazily) the set of encodable reduced
-// target-set keys for channel (node, dirIdx).
-func (f *Fabric) codebook(node int, di int) map[string]bool {
-	key := node*mesh.NumLinkDirs + di
+// target-set keys for channel (node, d).
+func (f *Fabric) codebook(node int, d mesh.Direction) map[string]bool {
+	key := node*mesh.NumLinkDirs + int(d)
 	if cb, ok := f.codebooks[key]; ok {
 		return cb
 	}
 	cb := map[string]bool{}
-	if enc := EncodeChannel(f.rf, mesh.NodeID(node), mesh.LinkDirections[di], f.hops); enc != nil {
+	if enc := EncodeChannel(f.rf, mesh.NodeID(node), d, f.hops); enc != nil {
 		for _, c := range enc.Codes {
 			cb[c.Set.Key()] = true
 		}
@@ -174,13 +219,14 @@ func (f *Fabric) codebook(node int, di int) map[string]bool {
 	return cb
 }
 
-// checkEncodable panics if the channel's merged set is outside its code
-// book.
-func (f *Fabric) checkEncodable(node, di int, targets []mesh.NodeID) {
+// checkEncodable panics if channel (node, d), carrying register m, is
+// outside its code book.
+func (f *Fabric) checkEncodable(node int, d mesh.Direction, m uint64) {
+	targets := f.decode(node, m)
 	red := reduceTargets(f.rf, mesh.NodeID(node), targets)
-	if !f.codebook(node, di)[red.Key()] {
+	if !f.codebook(node, d)[red.Key()] {
 		panic(fmt.Sprintf("core: channel %d->%v carries unencodable set %v (reduced %v)",
-			node, mesh.LinkDirections[di], targets, red))
+			node, d, targets, red))
 	}
 }
 
@@ -193,28 +239,24 @@ func (f *Fabric) Stats() FabricStats { return f.stats }
 // cycle (level semantics: a stalled packet keeps punching). No-op when
 // cur == dst.
 func (f *Fabric) EmitSource(cur, dst mesh.NodeID) {
-	t := TargetedRouter(f.rf, cur, dst, f.hops)
-	if t == mesh.Invalid {
+	if cur == dst {
 		return
 	}
-	if f.strict {
-		d := topo.MustRoute(f.rf, cur, t)
-		if d != mesh.Local {
-			di := dirIndex(d)
-			if f.strictUsed[cur][di] {
-				f.stats.StrictDrops++
-				return
-			}
-			f.strictUsed[cur][di] = true
-		}
+	dx, dy := topo.AheadOffset(f.rf, cur, dst, f.hops)
+	b := f.bitOf(dx, dy)
+	if f.strict && f.pending[cur]&f.route[topo.OffsetDirection(dx, dy)] != 0 {
+		// Only source emissions fill pending, so an earlier one this
+		// cycle already took the channel.
+		f.stats.StrictDrops++
+		return
 	}
 	f.stats.SourceEmissions++
-	f.pending[cur] = appendUnique(f.pending[cur], t)
+	f.pending[cur] |= 1 << b
 	f.markLive(cur)
 	f.emitted = true
 	if f.bus != nil {
 		f.bus.Emit(obs.Event{Kind: obs.KindPunchEmit, Node: int32(cur),
-			Dst: int32(t), A: int64(dst)})
+			Dst: int32(f.t.Translate(cur, dx, dy)), A: int64(dst)})
 	}
 }
 
@@ -224,22 +266,18 @@ func (f *Fabric) EmitSource(cur, dst mesh.NodeID) {
 // starts immediately (paper Section 4.2). Call once per pending NI
 // message per cycle.
 func (f *Fabric) EmitLocal(src, dst mesh.NodeID) {
-	f.localHold[src] = true
 	f.markLive(src)
 	f.emitted = true
 	if f.bus != nil {
 		f.bus.Emit(obs.Event{Kind: obs.KindPunchLocal, Node: int32(src)})
 	}
-	if src != dst {
-		f.EmitSource(src, dst)
-	}
+	f.EmitSource(src, dst)
 }
 
 // HoldLocal asserts only the local-router hold at node n (the paper's
 // slack 2: a resource access guarantees a packet will be injected, but
 // the destination is not yet known, so no multi-hop punch can be formed).
 func (f *Fabric) HoldLocal(n mesh.NodeID) {
-	f.localHold[n] = true
 	f.markLive(n)
 	f.emitted = true
 	if f.bus != nil {
@@ -256,105 +294,85 @@ func (f *Fabric) markLive(n mesh.NodeID) { f.live[n>>6] |= 1 << (n & 63) }
 // exactly once per simulation cycle after all Emit* calls.
 //
 // Only live nodes are visited, in ascending order: a node with no local
-// hold, pending or inbound target has no hold, relays nothing and owns
-// no outbox, so the full walk's work for it is a no-op. Holds are reset
-// through the previous heldList rather than for every node.
+// hold, pending or inbound target has no hold and relays nothing, so
+// the full walk's work for it is a no-op, and every live node holds.
+// Holds are reset through the previous heldList rather than for every
+// node.
 func (f *Fabric) Step() {
 	for _, id := range f.heldList {
 		f.hold[id] = false
 	}
 	f.heldList = f.heldList[:0]
 	f.live, f.stepping = f.stepping, f.live
-	for w, word := range f.stepping {
-		for ; word != 0; word &= word - 1 {
-			node := w<<6 + bits.TrailingZeros64(word)
-			id := mesh.NodeID(node)
-			hold := f.localHold[node] || len(f.pending[node]) > 0 || len(f.inbox[node]) > 0
-			if hold {
-				f.heldList = append(f.heldList, id)
-			}
-
-			// Union of transiting (inbox) and newly-asserted (pending)
-			// targets; relay everything not addressed to this router.
-			if !f.faultDropRelays {
-				f.relay(id, f.inbox[node], true)
-			}
-			f.inbox[node] = f.inbox[node][:0] // refilled by the delivery below
-			f.relay(id, f.pending[node], false)
-
-			f.hold[node] = hold
-			if hold && f.bus != nil {
-				f.bus.Emit(obs.Event{Kind: obs.KindPunchHold, Node: int32(id)})
-			}
-		}
-	}
-
-	// Deliver: outboxes become neighbours' inboxes for the next cycle.
-	// Only live nodes own a non-empty outbox.
 	f.inboxAny = false
 	for w, word := range f.stepping {
 		for ; word != 0; word &= word - 1 {
 			node := w<<6 + bits.TrailingZeros64(word)
-			for di := 0; di < mesh.NumLinkDirs; di++ {
-				out := f.outbox[node][di]
-				if len(out) == 0 {
-					continue
-				}
-				f.stats.ChannelCycles++
-				if f.acct != nil {
-					f.acct.PunchHop(node)
-				}
-				if f.verify {
-					f.checkEncodable(node, di, out)
-				}
-				nb := f.t.Neighbor(mesh.NodeID(node), mesh.LinkDirections[di])
-				if nb == mesh.Invalid {
-					// A target beyond a fabric edge is impossible under minimal
-					// routing toward a valid node; drop defensively.
-					f.outbox[node][di] = out[:0]
-					continue
-				}
-				for _, t := range out {
-					f.inbox[nb] = appendUnique(f.inbox[nb], t)
-				}
-				f.markLive(nb)
-				f.inboxAny = true
-				f.outbox[node][di] = out[:0]
+			in, pend := f.inbox[node], f.pending[node]
+			f.inbox[node], f.pending[node] = 0, 0
+			f.heldList = append(f.heldList, mesh.NodeID(node))
+			f.hold[node] = true
+
+			// Relay the union of transiting (inbox) and newly-asserted
+			// (pending) targets not addressed to this router, which
+			// absorbs its own bit.
+			if f.faultDropRelays {
+				in = 0
+			} else if in&f.self != 0 && f.bus != nil {
+				f.bus.Emit(obs.Event{Kind: obs.KindPunchArrive, Node: int32(node)})
 			}
-			f.pending[node] = f.pending[node][:0]
-			f.localHold[node] = false
-			f.strictUsed[node] = [mesh.NumLinkDirs]bool{}
+			f.stats.RelayedTargets += int64(bits.OnesCount64(in &^ f.self))
+			if out := (in | pend) &^ f.self; out != 0 {
+				f.send(node, out)
+			}
+
+			if f.bus != nil {
+				f.bus.Emit(obs.Event{Kind: obs.KindPunchHold, Node: int32(node)})
+			}
 		}
 	}
+	f.inbox, f.next = f.next, f.inbox
 	clear(f.stepping)
 	f.emitted = false
 }
 
-// relay routes every target in targets that is not addressed to id one
-// link onward, into id's outbox; isRelay marks inbound (transiting)
-// targets as opposed to ones asserted at id this cycle.
-func (f *Fabric) relay(id mesh.NodeID, targets []mesh.NodeID, isRelay bool) {
-	for _, t := range targets {
-		if t == id {
-			// Absorbed: this router is the target.
-			if isRelay && f.bus != nil {
-				f.bus.Emit(obs.Event{Kind: obs.KindPunchArrive, Node: int32(id)})
-			}
+// send splits register out of node by first hop into its channels and
+// delivers each into the neighbour's next-cycle inbox. A channel
+// carrying m targets is one Table-1 merge of m-1 of them into the
+// first: the merge events name every target but the lowest bit, in
+// ascending bit order.
+func (f *Fabric) send(node int, out uint64) {
+	for d := mesh.Direction(0); d < mesh.NumLinkDirs; d++ {
+		m := out & f.route[d]
+		if m == 0 {
 			continue
 		}
-		di := dirIndex(topo.MustRoute(f.rf, id, t))
-		box := &f.outbox[id][di]
-		before := len(*box)
-		*box = appendUnique(*box, t)
-		if isRelay && len(*box) > before {
-			f.stats.RelayedTargets++
+		f.stats.ChannelCycles++
+		if f.acct != nil {
+			f.acct.PunchHop(node)
 		}
-		if f.bus != nil && before > 0 && len(*box) > before {
-			// The channel register already carried a target: this
-			// is a Table-1 merge.
-			f.bus.Emit(obs.Event{Kind: obs.KindPunchMerge, Node: int32(id),
-				Dir: int8(mesh.LinkDirections[di]), Dst: int32(t)})
+		if f.bus != nil && m&(m-1) != 0 {
+			for _, t := range f.decode(node, m&(m-1)) {
+				f.bus.Emit(obs.Event{Kind: obs.KindPunchMerge, Node: int32(node),
+					Dir: int8(d), Dst: int32(t)})
+			}
 		}
+		if f.verify {
+			f.checkEncodable(node, d, m)
+		}
+		nb := f.t.Neighbor(mesh.NodeID(node), d)
+		if nb == mesh.Invalid {
+			// A target beyond a fabric edge is impossible under minimal
+			// routing toward a valid node; drop defensively.
+			continue
+		}
+		var in uint64
+		for ; m != 0; m &= m - 1 {
+			in |= f.moved[d][bits.TrailingZeros64(m)]
+		}
+		f.next[nb] |= in
+		f.markLive(nb)
+		f.inboxAny = true
 	}
 }
 
@@ -382,25 +400,14 @@ func (f *Fabric) SetFaultDropRelays(v bool) { f.faultDropRelays = v }
 // named or transited it (valid after Step).
 func (f *Fabric) Hold(n mesh.NodeID) bool { return f.hold[n] }
 
-// InboxTargets returns the targets currently inbound at node n (for tests
-// and debugging). The returned slice is owned by the fabric.
-func (f *Fabric) InboxTargets(n mesh.NodeID) []mesh.NodeID { return f.inbox[n] }
+// InboxTargets returns the targets currently inbound at node n, in
+// ascending register-bit order (for checks, tests and debugging). The
+// returned slice is owned by the fabric and valid until the next call.
+func (f *Fabric) InboxTargets(n mesh.NodeID) []mesh.NodeID { return f.decode(int(n), f.inbox[n]) }
 
-// linkDirIndex maps a link direction to its index in mesh.LinkDirections.
-var linkDirIndex = [mesh.NumLinkDirs]int{mesh.North: 0, mesh.South: 1, mesh.East: 2, mesh.West: 3}
-
-func dirIndex(d mesh.Direction) int {
-	if uint(d) < mesh.NumLinkDirs {
-		return linkDirIndex[d]
+func abs(v int) int {
+	if v < 0 {
+		return -v
 	}
-	panic(fmt.Sprintf("core: direction %v is not a link direction", d))
-}
-
-func appendUnique(s []mesh.NodeID, t mesh.NodeID) []mesh.NodeID {
-	for _, v := range s {
-		if v == t {
-			return s
-		}
-	}
-	return append(s, t)
+	return v
 }

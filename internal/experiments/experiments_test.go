@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"powerpunch/internal/config"
 )
@@ -266,40 +267,33 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 	}
 }
 
-func TestParallelForChunkCount(t *testing.T) {
-	// The dispatch chunk count is pinned to chunksPerWorker chunks per
-	// worker (workers themselves sized by runtime.GOMAXPROCS), capped
-	// at n so no chunk is empty.
-	cases := []struct {
-		n, workers, want int
-	}{
-		{100, 8, 32},  // 8*4, well under n
-		{100, 1, 4},   // degenerate worker count still chunks
-		{5, 8, 5},     // capped at n
-		{32, 8, 32},   // exactly n
-		{1000, 4, 16}, // scales with workers, not n
-		{0, 8, 0},
-	}
-	for _, c := range cases {
-		if got := chunksFor(c.n, c.workers); got != c.want {
-			t.Errorf("chunksFor(%d, %d) = %d, want %d", c.n, c.workers, got, c.want)
-		}
-	}
-	// Chunk bounds tile [0, n) exactly: contiguous, non-empty, complete.
-	for _, c := range cases {
-		chunks := chunksFor(c.n, c.workers)
-		prev := 0
-		for k := 0; k < chunks; k++ {
-			lo, hi := chunkBounds(c.n, chunks, k)
-			if lo != prev || hi <= lo {
-				t.Fatalf("chunkBounds(%d, %d, %d) = [%d, %d): not a tiling from %d",
-					c.n, chunks, k, lo, hi, prev)
+// TestParallelForHandsOutSingleIndices pins the dispatch granularity:
+// with two workers, index 0 blocks until every other index has run,
+// which finishes only if the second worker can take indices 1..n-1 one
+// by one. A scheme that hands out contiguous chunks strands index 1
+// behind index 0 and times out here.
+func TestParallelForHandsOutSingleIndices(t *testing.T) {
+	old := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(old)
+	const n = 24
+	var others atomic.Int32
+	allRan := make(chan struct{})
+	timedOut := false
+	parallelFor(n, func(i int) {
+		if i == 0 {
+			select {
+			case <-allRan:
+			case <-time.After(30 * time.Second):
+				timedOut = true
 			}
-			prev = hi
+			return
 		}
-		if chunks > 0 && prev != c.n {
-			t.Fatalf("n=%d workers=%d: chunks cover [0, %d), want [0, %d)", c.n, c.workers, prev, c.n)
+		if others.Add(1) == n-1 {
+			close(allRan)
 		}
+	})
+	if timedOut {
+		t.Fatalf("index 0 waited 30 s: only %d of the other %d indices ran beside it", others.Load(), n-1)
 	}
 }
 

@@ -5,47 +5,22 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
-// chunksPerWorker is the dispatch granularity multiplier: parallelFor
-// splits the index space into chunksPerWorker chunks per worker, so the
-// channel carries one message per chunk instead of one per index while
-// still leaving enough chunks for the scheduler to rebalance when
-// individual runs take uneven time.
-const chunksPerWorker = 4
-
-// chunksFor returns the number of contiguous chunks parallelFor splits
-// n items into for the given worker count. The count scales with the
-// worker count (itself sized by runtime.GOMAXPROCS) rather than a
-// fixed constant, and never exceeds n so every chunk is non-empty.
-func chunksFor(n, workers int) int {
-	chunks := workers * chunksPerWorker
-	if chunks > n {
-		chunks = n
-	}
-	return chunks
-}
-
-// chunkBounds returns the half-open index range [lo, hi) of chunk c of
-// `chunks` total over n items, with sizes balanced to within one item.
-func chunkBounds(n, chunks, c int) (lo, hi int) {
-	return c * n / chunks, (c + 1) * n / chunks
-}
-
 // parallelFor runs fn(i) for i in [0, n) on up to GOMAXPROCS workers,
-// dispatching contiguous chunks of indices (chunksFor per call) so the
-// channel round-trips scale with the worker count, not with n. Each
-// experiment run owns its network and RNGs, so runs are independent
-// and results stay deterministic; only wall-clock order changes. fn
-// must write results into pre-sized slots (no appends).
+// each taking the next index from one shared counter, so a long run
+// never holds shorter ones queued behind it while another worker idles.
+// Each experiment run owns its network and RNGs, so runs are
+// independent and results stay deterministic; only wall-clock order
+// changes. fn must write results into pre-sized slots (no appends).
 //
 // A panic inside fn is captured and re-raised on the caller's
 // goroutine after every worker has finished, so a crashing experiment
 // surfaces as one panic with the offending index and original stack
 // instead of killing the process from an anonymous goroutine. When
 // several runs panic concurrently, the lowest index wins. Workers that
-// observe a recorded panic keep draining the work channel without
-// calling fn, so the feeding loop never blocks on dead workers.
+// observe a recorded panic take no further indices.
 func parallelFor(n int, fn func(i int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -84,27 +59,20 @@ func parallelFor(n int, fn func(i int)) {
 		}()
 		fn(i)
 	}
-	chunks := chunksFor(n, workers)
-	next := make(chan int)
+	var next atomic.Int64
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for c := range next {
-				lo, hi := chunkBounds(n, chunks, c)
-				for i := lo; i < hi; i++ {
-					if poisoned() {
-						continue // finish the chunk cheaply, then drain
-					}
-					runOne(i)
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n || poisoned() {
+					return
 				}
+				runOne(i)
 			}
 		}()
 	}
-	for c := 0; c < chunks; c++ {
-		next <- c
-	}
-	close(next)
 	wg.Wait()
 	if panicIdx != -1 {
 		panic(fmt.Sprintf("experiments: run %d panicked: %v\n%s", panicIdx, panicVal, panicStack))

@@ -52,6 +52,10 @@ type vc struct {
 
 	buf []*flit.Flit
 	arr []int64 // arrival cycle of each buffered flit
+	// dst holds, per buffered flit, its packet's destination if it is
+	// a head flit and mesh.Invalid otherwise, so punch emission never
+	// dereferences a flit.
+	dst []int32
 
 	// State of the packet currently being forwarded through this VC.
 	routed      bool // output direction computed (look-ahead RC)
@@ -76,12 +80,18 @@ func (v *vc) frontArrival() int64 { return v.arr[0] }
 func (v *vc) push(f *flit.Flit, now int64) {
 	v.buf = append(v.buf, f)
 	v.arr = append(v.arr, now)
+	d := int32(mesh.Invalid)
+	if f.Type.IsHead() {
+		d = int32(f.Packet.Dst)
+	}
+	v.dst = append(v.dst, d)
 }
 
 func (v *vc) pop() *flit.Flit {
 	f := v.buf[0]
 	v.buf = v.buf[:copy(v.buf, v.buf[1:])]
 	v.arr = v.arr[:copy(v.arr, v.arr[1:])]
+	v.dst = v.dst[:copy(v.dst, v.dst[1:])]
 	return f
 }
 
@@ -256,6 +266,7 @@ func New(id mesh.NodeID, rf *topo.RoutingFunction, cfg *config.Config, ctrl *pg.
 	}
 	bufs := make([]*flit.Flit, mesh.NumPorts*perPort)
 	arrs := make([]int64, mesh.NumPorts*perPort)
+	dsts := make([]int32, mesh.NumPorts*perPort)
 	r.vcs = make([]vc, mesh.NumPorts*numVCs)
 	off := 0
 	for p := 0; p < mesh.NumPorts; p++ {
@@ -271,6 +282,7 @@ func New(id mesh.NodeID, rf *topo.RoutingFunction, cfg *config.Config, ctrl *pg.
 				key: key, idx: v, depth: d, credOut: ip.CreditOut,
 				buf: bufs[off : off : off+d],
 				arr: arrs[off : off : off+d],
+				dst: dsts[off : off : off+d],
 			}
 			off += d
 		}
@@ -1076,17 +1088,18 @@ type PunchEmitter interface {
 	EmitSource(cur, dst mesh.NodeID)
 }
 
-// EmitPunches emits one source punch per resident packet head, the
-// closure-free hot-path form of ResidentHeads + EmitSource (level
-// semantics: a stalled packet keeps punching every cycle).
+// EmitPunches emits one source punch per resident packet head (level
+// semantics: a stalled packet keeps punching every cycle): the hot-path
+// form of ResidentHeads + EmitSource, reading the head destinations
+// the VCs keep beside their flits instead of the flits themselves.
 func (r *Router) EmitPunches(f PunchEmitter) {
 	if r.buffered == 0 {
 		return
 	}
 	for key := nextSet(r.occ, 0); key != -1; key = nextSet(r.occ, key+1) {
-		for _, fl := range r.vcs[key].buf {
-			if fl.Type.IsHead() {
-				f.EmitSource(r.ID, fl.Packet.Dst)
+		for _, d := range r.vcs[key].dst {
+			if d != int32(mesh.Invalid) {
+				f.EmitSource(r.ID, mesh.NodeID(d))
 			}
 		}
 	}

@@ -436,7 +436,10 @@ func TestSwitchAllocationIsRoundRobinFair(t *testing.T) {
 //   - every stage walk visits what the probe it replaced would accept,
 //     in the same order: the circular (swRR[p]+k)%total probe for switch
 //     and bypass arbitration, the ascending nested (port, VC) probe for
-//     the PG-stall and VA walks.
+//     the PG-stall and VA walks;
+//   - EmitPunches, which reads the head destinations the VCs keep beside
+//     their flits, names the destinations of exactly the packets
+//     ResidentHeads finds by reading the flits, in the same order.
 func TestBitsetsMatchProbe(t *testing.T) {
 	fabrics := []struct {
 		topo string
@@ -503,7 +506,15 @@ type prober struct {
 	views     []router.VCView
 	got, want []int
 	m         []uint64
+	heads     []mesh.NodeID
+	punches   punchRecorder
 }
+
+// punchRecorder is a router.PunchEmitter that lists the destinations
+// it is asked to punch toward.
+type punchRecorder []mesh.NodeID
+
+func (pr *punchRecorder) EmitSource(_, dst mesh.NodeID) { *pr = append(*pr, dst) }
 
 func (pr *prober) check(r *router.Router, now int64) error {
 	occ, routedTo, vaSet := router.Bitsets(r)
@@ -569,6 +580,14 @@ func (pr *prober) check(r *router.Router, now int64) error {
 		}
 		return keys
 	}
+	pr.heads = pr.heads[:0]
+	r.ResidentHeads(func(p *flit.Packet) { pr.heads = append(pr.heads, p.Dst) })
+	pr.punches = pr.punches[:0]
+	r.EmitPunches(&pr.punches)
+	if !slices.Equal(pr.punches, pr.heads) {
+		return fmt.Errorf("EmitPunches toward %v, resident heads bound for %v", pr.punches, pr.heads)
+	}
+
 	notVA := append(pr.m[:0], occ...)
 	for i := range notVA {
 		notVA[i] &^= vaSet[i]

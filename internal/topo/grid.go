@@ -76,6 +76,21 @@ func (t *Topology) NodeAt(c mesh.Coord) mesh.NodeID {
 	return mesh.NodeID(c.Y*t.w + c.X)
 }
 
+// Translate returns the node at offset (dx, dy) from id, wrapping
+// around wrapped dimensions, or mesh.Invalid when the offset leaves an
+// unwrapped edge.
+func (t *Topology) Translate(id mesh.NodeID, dx, dy int) mesh.NodeID {
+	c := t.CoordOf(id)
+	x, y := c.X+dx, c.Y+dy
+	if t.wrapX {
+		x = (x%t.w + t.w) % t.w
+	}
+	if t.wrapY {
+		y = (y%t.h + t.h) % t.h
+	}
+	return t.NodeAt(mesh.Coord{X: x, Y: y})
+}
+
 // Neighbor returns the node one hop from id in direction d, or
 // mesh.Invalid when no such link exists (or d is Local).
 func (t *Topology) Neighbor(id mesh.NodeID, d mesh.Direction) mesh.NodeID {
@@ -232,39 +247,64 @@ type RoutingFunction struct {
 // Topology returns the fabric this function routes over.
 func (r *RoutingFunction) Topology() *Topology { return r.t }
 
-// dirAlong picks the travel direction along one dimension: neg/pos are
-// the directions of decreasing/increasing coordinate, n the dimension
-// size. Without wrap it is XY's comparison; with wrap it takes the
-// shorter way, breaking ties toward pos.
-func dirAlong(cur, dst, n int, wrap bool, neg, pos mesh.Direction) mesh.Direction {
+// along is the routed signed distance from cur to dst along one
+// dimension of size n: dst-cur without wrap (XY's comparison); with
+// wrap, the shorter way around, ties broken toward the positive
+// direction.
+func along(cur, dst, n int, wrap bool) int {
+	d := dst - cur
 	if !wrap {
-		if dst > cur {
-			return pos
-		}
-		return neg
+		return d
 	}
-	fwd := ((dst - cur) + n) % n // hops going pos
-	if fwd <= n-fwd {
-		return pos
+	if d < 0 {
+		d += n
 	}
-	return neg
+	if d > n-d {
+		d -= n
+	}
+	return d
+}
+
+// Offset returns the routed offset from cur to dst: the signed hop
+// counts the routed path travels along X and Y (East and South
+// positive). It takes the shorter way around each wrapped dimension,
+// ties broken toward East/South, so |dx|+|dy| is the hop distance and
+// the offset from any router on the path is this one less the hops
+// already made. It returns a *RouteError when either node is not part
+// of the fabric.
+func (r *RoutingFunction) Offset(cur, dst mesh.NodeID) (dx, dy int, err error) {
+	if !r.t.Contains(cur) || !r.t.Contains(dst) {
+		return 0, 0, routeError(r.t, cur, dst, "node outside the fabric")
+	}
+	cc, dc := r.t.nodes[cur].c, r.t.nodes[dst].c
+	return along(cc.X, dc.X, r.t.w, r.t.wrapX), along(cc.Y, dc.Y, r.t.h, r.t.wrapY), nil
+}
+
+// OffsetDirection is the first hop of a routed offset: X first, then
+// Y, and mesh.Local for the zero offset.
+func OffsetDirection(dx, dy int) mesh.Direction {
+	switch {
+	case dx > 0:
+		return mesh.East
+	case dx < 0:
+		return mesh.West
+	case dy > 0:
+		return mesh.South
+	case dy < 0:
+		return mesh.North
+	}
+	return mesh.Local
 }
 
 // Route computes the output direction at cur for a packet destined to
 // dst. It returns mesh.Local when cur == dst, and a *RouteError when
 // either node is not part of the fabric.
 func (r *RoutingFunction) Route(cur, dst mesh.NodeID) (mesh.Direction, error) {
-	if !r.t.Contains(cur) || !r.t.Contains(dst) {
-		return mesh.Local, routeError(r.t, cur, dst, "node outside the fabric")
+	dx, dy, err := r.Offset(cur, dst)
+	if err != nil {
+		return mesh.Local, err
 	}
-	cc, dc := r.t.CoordOf(cur), r.t.CoordOf(dst)
-	if cc.X != dc.X {
-		return dirAlong(cc.X, dc.X, r.t.w, r.t.wrapX, mesh.West, mesh.East), nil
-	}
-	if cc.Y != dc.Y {
-		return dirAlong(cc.Y, dc.Y, r.t.h, r.t.wrapY, mesh.North, mesh.South), nil
-	}
-	return mesh.Local, nil
+	return OffsetDirection(dx, dy), nil
 }
 
 // NextHop returns the next router on the path from cur to dst (cur

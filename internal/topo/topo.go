@@ -159,13 +159,29 @@ func Path(rf *RoutingFunction, src, dst mesh.NodeID) []mesh.NodeID {
 
 // Ahead returns the router k hops ahead of cur on the path to dst. If
 // fewer than k hops remain it returns dst; Ahead(rf, cur, dst, 0) is
-// cur. This is the paper's targeted-router computation.
+// cur. This is the paper's targeted-router computation; it panics with
+// a *RouteError when either node is not part of the fabric.
 func Ahead(rf *RoutingFunction, cur, dst mesh.NodeID, k int) mesh.NodeID {
-	node := cur
-	for i := 0; i < k && node != dst; i++ {
-		node = MustNextHop(rf, node, dst)
+	dx, dy := AheadOffset(rf, cur, dst, k)
+	return rf.t.Translate(cur, dx, dy)
+}
+
+// AheadOffset is Ahead as an offset from cur, in O(1): the routed
+// offset to dst with the k hops spent on X first, then Y, as
+// dimension-order routing spends them. It panics with a *RouteError
+// when either node is not part of the fabric.
+func AheadOffset(rf *RoutingFunction, cur, dst mesh.NodeID, k int) (dx, dy int) {
+	dx, dy, err := rf.Offset(cur, dst)
+	if err != nil {
+		panic(err)
 	}
-	return node
+	dx = max(-k, min(dx, k))
+	if dx < 0 {
+		k += dx
+	} else {
+		k -= dx
+	}
+	return dx, max(-k, min(dy, k))
 }
 
 // OnPath reports whether node lies on the routed path from src to dst

@@ -764,3 +764,74 @@ func TestAheadOnTorusUsesWrap(t *testing.T) {
 		t.Fatal("path 0->6 should use wrap link 0->7")
 	}
 }
+
+// TestAheadMatchesWalk checks the O(1) Ahead against the hop-by-hop
+// walk it replaced, kept here as the oracle: for every (cur, dst) pair
+// and every punch hop count 1..4, the router k NextHop steps along the
+// path (stopping at dst) is Ahead's answer, and AheadOffset translates
+// to it. The shapes cover the mesh, tori with odd and even sides (where
+// the shorter-way rule has ties to break), the minimal torus and a
+// ring.
+func TestAheadMatchesWalk(t *testing.T) {
+	walk := func(rf *RoutingFunction, cur, dst mesh.NodeID, k int) mesh.NodeID {
+		for i := 0; i < k && cur != dst; i++ {
+			cur = MustNextHop(rf, cur, dst)
+		}
+		return cur
+	}
+	for _, s := range []struct {
+		name string
+		w, h int
+	}{{"mesh", 8, 8}, {"torus", 6, 5}, {"torus", 4, 4}, {"torus", 2, 2}, {"ring", 12, 1}} {
+		t.Run(fmt.Sprintf("%dx%d-%s", s.w, s.h, s.name), func(t *testing.T) {
+			rf := mustBuild(t, s.name, s.w, s.h)
+			g := rf.Topology()
+			for cur := mesh.NodeID(0); g.Contains(cur); cur++ {
+				for dst := mesh.NodeID(0); g.Contains(dst); dst++ {
+					for k := 1; k <= 4; k++ {
+						want := walk(rf, cur, dst, k)
+						if got := Ahead(rf, cur, dst, k); got != want {
+							t.Fatalf("Ahead(%d, %d, %d) = %d, walk gives %d", cur, dst, k, got, want)
+						}
+						dx, dy := AheadOffset(rf, cur, dst, k)
+						if got := g.Translate(cur, dx, dy); got != want {
+							t.Fatalf("AheadOffset(%d, %d, %d) = (%d, %d) -> %d, walk gives %d",
+								cur, dst, k, dx, dy, got, want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestOffsetMatchesRoute pins the routed offset to Route: its first hop
+// is Route's direction, its length is the hop distance, and
+// translating it from cur lands on dst.
+func TestOffsetMatchesRoute(t *testing.T) {
+	forShapes(t, func(t *testing.T, rf *RoutingFunction, g *Topology) {
+		for cur := mesh.NodeID(0); g.Contains(cur); cur++ {
+			for dst := mesh.NodeID(0); g.Contains(dst); dst++ {
+				dx, dy, err := rf.Offset(cur, dst)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := MustRoute(rf, cur, dst); OffsetDirection(dx, dy) != d {
+					t.Fatalf("Offset(%d, %d) = (%d, %d): first hop %v, Route %v",
+						cur, dst, dx, dy, OffsetDirection(dx, dy), d)
+				}
+				if n := abs(dx) + abs(dy); n != g.HopDistance(cur, dst) {
+					t.Fatalf("Offset(%d, %d) = (%d, %d): %d hops, distance %d",
+						cur, dst, dx, dy, n, g.HopDistance(cur, dst))
+				}
+				if got := g.Translate(cur, dx, dy); got != dst {
+					t.Fatalf("Translate(%d, %d, %d) = %d, want %d", cur, dx, dy, got, dst)
+				}
+			}
+		}
+	})
+	rf := mustBuild(t, "mesh", 4, 4)
+	if _, _, err := rf.Offset(0, 16); err == nil {
+		t.Error("Offset to a node outside the fabric: want a *RouteError")
+	}
+}
