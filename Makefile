@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race soak soak-obs soak-par soak-cmp soak-serve api apicheck check fuzz clean bench bench-check bench-test
+.PHONY: build test vet race soak soak-obs soak-cmp soak-serve api apicheck check fuzz clean bench bench-check bench-test
 
 build:
 	$(GO) build ./...
@@ -28,12 +28,8 @@ vet:
 		exit 1; \
 	fi
 
-# internal/network runs as its own leg: under the race detector its soak
-# tests take 7-10 minutes on a 2-vCPU host, too close to go test's
-# 10-minute default per-package timeout, so that leg gets 30 minutes.
 race:
-	$(GO) test -race $$($(GO) list ./... | grep -v '/internal/network$$')
-	$(GO) test -race -timeout 30m ./internal/network/
+	$(GO) test -race ./...
 
 # Short soak with the invariant engine on every cycle, all schemes
 # (TestSoakWithChecks), plus the long-run soak's -short stub.
@@ -47,26 +43,11 @@ soak:
 soak-obs: vet
 	$(GO) test -race -run 'TestSoakObserved|TestObservedRunIsGoldenIdentical' ./internal/network/
 
-# Parallel-engine soak: every scheme on every fabric on the sharded
-# tick engine with the invariant engine sweeping every cycle, plus a
-# recycled high-load leg at eight workers, bounded large-fabric legs
-# (32x32 checked, 64x64 FlyOver — the sparse-active-set regime where
-# the occupancy-aware regrouping does real work), and an energy-enabled leg
-# (TestSoakParallelEnergy: per-component accounting + timeline sampler
-# on all schemes x mesh/torus) — under the race detector, so the
-# section bodies, barrier handoffs, replay buffers, per-worker pools,
-# and per-router energy counters get full data-race coverage. The golden
-# differential suite (TestParallelMatchesSerial and friends, tier-1)
-# locks bit-identical results; this target locks race-freedom and
-# liveness.
-soak-par: vet
-	$(GO) test -race -run 'TestSoakParallel' ./internal/network/
-
 # Full-system soak: one short PARSEC profile per gating scheme driven
 # to completion through the public API with the invariant engine
-# sweeping every cycle, probes attached, and the parallel engine on the
-# punch schemes — under the race detector, covering the workload's
-# delivery callbacks, delayed submissions, and event-flush buffering.
+# sweeping every cycle and probes attached — under the race detector,
+# covering the workload's delivery callbacks, delayed submissions, and
+# event-flush buffering.
 soak-cmp: vet
 	$(GO) test -race -run 'TestSoakCMP' .
 
@@ -100,7 +81,7 @@ bench-test:
 	$(GO) -C bench test ./...
 
 # Tier-2: everything above plus the benchmark regression gate.
-check: vet test race soak soak-obs soak-par soak-cmp soak-serve apicheck bench-test bench-check
+check: vet test race soak soak-obs soak-cmp soak-serve apicheck bench-test bench-check
 
 # Benchmark baseline maintenance. `make bench` runs the locked tick
 # benchmarks (per scheme and load point, active-set and full-walk, with
@@ -118,7 +99,7 @@ check: vet test race soak soak-obs soak-par soak-cmp soak-serve apicheck bench-t
 # BenchmarkTickTopo*); sub-microsecond micros (NetworkStepIdle,
 # PunchFabricStep) are too jitter-prone for a threshold gate — run
 # those by hand with `go test -bench`.
-BENCHES    ?= ^BenchmarkTick$$|^BenchmarkTickEnergy$$|^BenchmarkTickFlyOver$$|^BenchmarkTickFullWalk$$|^BenchmarkTickTopo$$|^BenchmarkTickTopoFullWalk$$|^BenchmarkTickPar$$|^BenchmarkTickCMP$$
+BENCHES    ?= ^BenchmarkTick$$|^BenchmarkTickEnergy$$|^BenchmarkTickFlyOver$$|^BenchmarkTickFullWalk$$|^BenchmarkTickTopo$$|^BenchmarkTickTopoFullWalk$$|^BenchmarkTickLarge$$|^BenchmarkTickCMP$$
 BENCHTIME  ?= 0.5s
 BENCHCOUNT ?= 5
 # bench-diff defaults to a 10% gate; shared development machines show

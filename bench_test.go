@@ -468,23 +468,14 @@ func BenchmarkTickTopoFullWalk(b *testing.B) {
 	}
 }
 
-// BenchmarkTickPar measures the occupancy-aware parallel tick engine
-// against the recycled serial hot path under PowerPunch-PG, on the
-// paper's 8x8 mesh and on the scaled 32x32 and 64x64 fabrics where
-// multi-core wins are realistic. Every row enables packet recycling so
-// par=0 (serial) and par=N differ only in the engine; cmd/noctrace
-// bench-diff derives speedup and per-cycle sync-overhead columns from
-// rows that differ only in the /par= label. Large-fabric loads sit
-// below uniform-random saturation (~0.05 pkt/node/cyc at 32x32, ~0.025
-// at 64x64 for 5-flit packets) so queues stay bounded over the whole
-// measured window; warmup shrinks with fabric size to keep bench
-// wall-clock sane. Rows are honest wall-clock measurements on whatever
-// hardware runs them — on a single-CPU host the parallel rows pay
-// rendezvous overhead with no speedup to collect; the engine targets
-// multi-core hosts, and the occupancy-aware grouping keeps the
-// single-CPU penalty small by running low-occupancy cycles inline on
-// the coordinator.
-func BenchmarkTickPar(b *testing.B) {
+// BenchmarkTickLarge measures the recycled hot path under PowerPunch-PG
+// on the paper's 8x8 mesh and on the scaled 32x32 and 64x64 fabrics.
+// Every row enables packet recycling, so steady state allocates
+// nothing. Large-fabric loads sit below uniform-random saturation
+// (~0.05 pkt/node/cyc at 32x32, ~0.025 at 64x64 for 5-flit packets) so
+// queues stay bounded over the whole measured window; warmup shrinks
+// with fabric size to keep bench wall-clock sane.
+func BenchmarkTickLarge(b *testing.B) {
 	fabrics := []struct {
 		w, h, warm int
 		loads      []float64
@@ -495,38 +486,34 @@ func BenchmarkTickPar(b *testing.B) {
 	}
 	for _, fab := range fabrics {
 		for _, load := range fab.loads {
-			for _, workers := range []int{0, 2, 4, 8} {
-				fab, load, workers := fab, load, workers
-				name := fmt.Sprintf("%s/%dx%d/load=%.2f/par=%d", config.PowerPunchPG, fab.w, fab.h, load, workers)
-				b.Run(name, func(b *testing.B) {
-					cfg := config.Default()
-					cfg.Scheme = config.PowerPunchPG
-					cfg.Width, cfg.Height = fab.w, fab.h
-					cfg.WarmupCycles = 0
-					cfg.MeasureCycles = 1 << 40
-					cfg.Workers = workers
-					cfg.RecyclePackets = true
-					net, err := network.New(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer net.Close()
-					drv := traffic.NewSynthetic(traffic.UniformRandom{}, load, 1)
-					for i := 0; i < fab.warm; i++ {
-						drv.Tick(net, net.Now())
-						net.Step()
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						drv.Tick(net, net.Now())
-						net.Step()
-					}
-					b.StopTimer()
-					if s := b.Elapsed().Seconds(); s > 0 {
-						b.ReportMetric(float64(b.N)/s, "cycles/sec")
-					}
-				})
-			}
+			fab, load := fab, load
+			name := fmt.Sprintf("%s/%dx%d/load=%.2f", config.PowerPunchPG, fab.w, fab.h, load)
+			b.Run(name, func(b *testing.B) {
+				cfg := config.Default()
+				cfg.Scheme = config.PowerPunchPG
+				cfg.Width, cfg.Height = fab.w, fab.h
+				cfg.WarmupCycles = 0
+				cfg.MeasureCycles = 1 << 40
+				cfg.RecyclePackets = true
+				net, err := network.New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				drv := traffic.NewSynthetic(traffic.UniformRandom{}, load, 1)
+				for i := 0; i < fab.warm; i++ {
+					drv.Tick(net, net.Now())
+					net.Step()
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					drv.Tick(net, net.Now())
+					net.Step()
+				}
+				b.StopTimer()
+				if s := b.Elapsed().Seconds(); s > 0 {
+					b.ReportMetric(float64(b.N)/s, "cycles/sec")
+				}
+			})
 		}
 	}
 }
@@ -548,9 +535,6 @@ func BenchmarkPunchFabricStep(b *testing.B) {
 	}
 }
 
-// BenchmarkFullSystemSwaptions measures end-to-end full-system
-// simulation throughput (cycles simulated per wall second is the
-// inverse of ns/op divided by the cycle count).
 // BenchmarkTickCMP is the locked steady-state cost of one simulated
 // cycle under the full-system CMP workload (cores ticking, coherence
 // protocol delivering, all three VNs loaded), per scheme, on the
@@ -571,7 +555,6 @@ func BenchmarkTickCMP(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer net.Close()
 			sys := NewWorkload(parsec.MustProfile("canneal", 1<<40), net, 1)
 			for i := 0; i < 3000; i++ {
 				sys.Tick(net, net.Now())
@@ -590,6 +573,9 @@ func BenchmarkTickCMP(b *testing.B) {
 	}
 }
 
+// BenchmarkFullSystemSwaptions measures end-to-end full-system
+// simulation throughput (cycles simulated per wall second is the
+// inverse of ns/op divided by the cycle count).
 func BenchmarkFullSystemSwaptions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := config.Default()

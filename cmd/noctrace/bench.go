@@ -225,7 +225,7 @@ func speedFactors(base map[string]BenchEntry, cur []BenchEntry) (global float64,
 }
 
 // benchFamily returns the benchmark name's first path segment, e.g.
-// "TickPar" for "TickPar/PowerPunch-PG/8x8/load=0.10/par=0".
+// "TickLarge" for "TickLarge/PowerPunch-PG/8x8/load=0.10".
 func benchFamily(name string) string {
 	if i := strings.IndexByte(name, '/'); i >= 0 {
 		return name[:i]
@@ -313,7 +313,6 @@ func benchDiff(args []string) {
 	for _, name := range missing {
 		fmt.Printf("MISSING  %-45s (in baseline, not in new run)\n", name)
 	}
-	printSpeedups(cur.Benchmarks)
 
 	fmt.Printf("bench-diff: %d metrics compared against %s (go %s vs %s), tolerance %.0f%%, machine drift %+.1f%% global, %d family estimates\n",
 		compared, *basePath, base.GoVersion, cur.GoVersion, *maxRegress*100, (speed-1)*100, len(famSpeed))
@@ -323,47 +322,6 @@ func benchDiff(args []string) {
 		os.Exit(1)
 	}
 	fmt.Println("bench-diff: OK")
-}
-
-// parLabel matches the trailing /par=N component of the parallel-engine
-// benchmark rows (BenchmarkTickPar and friends).
-var parLabel = regexp.MustCompile(`/par=(\d+)$`)
-
-// printSpeedups derives a speedup column from benchmark rows that
-// differ only in their /par=N label: each par=N row (N > 0) is divided
-// by its par=0 sibling's cycles/sec. On a multi-core host this is the
-// parallel engine's realized speedup; on a single-core host it reads
-// below 1.0x and quantifies barrier overhead instead. The sync column
-// is the same comparison in absolute terms: ns/op at par=N minus ns/op
-// at par=0. Each benchmark op is one simulated cycle, so the column is
-// the per-cycle rendezvous/commit overhead the parallel engine pays on
-// top of the serial tick (negative once the cores outrun the barriers).
-func printSpeedups(entries []BenchEntry) {
-	byName := map[string]BenchEntry{}
-	for _, e := range entries {
-		byName[e.Name] = e
-	}
-	for _, e := range entries {
-		m := parLabel.FindStringSubmatch(e.Name)
-		if m == nil || m[1] == "0" {
-			continue
-		}
-		stem := strings.TrimSuffix(e.Name, m[0])
-		serial, ok := byName[stem+"/par=0"]
-		if !ok {
-			continue
-		}
-		pv, sv := e.Metrics["cycles/sec"], serial.Metrics["cycles/sec"]
-		if pv <= 0 || sv <= 0 {
-			continue
-		}
-		sync := "    sync=n/a"
-		if pns, sns := e.Metrics["ns/op"], serial.Metrics["ns/op"]; pns > 0 && sns > 0 {
-			sync = fmt.Sprintf("sync=%+8.0f ns/cycle", pns-sns)
-		}
-		fmt.Printf("SPEEDUP  %-45s par=%-3s %5.2fx  %s  (%.4g vs %.4g cycles/sec serial)\n",
-			stem, m[1], pv/sv, sync, pv, sv)
-	}
 }
 
 func relChange(base, cur float64) float64 {

@@ -7,9 +7,9 @@ import (
 
 func TestBenchFamily(t *testing.T) {
 	cases := map[string]string{
-		"TickPar/PowerPunch-PG/8x8/load=0.10/par=0": "TickPar",
-		"Tick/No-PG/load=0.02":                      "Tick",
-		"NetworkStepIdle":                           "NetworkStepIdle",
+		"TickLarge/PowerPunch-PG/8x8/load=0.10": "TickLarge",
+		"Tick/No-PG/load=0.02":                  "Tick",
+		"NetworkStepIdle":                       "NetworkStepIdle",
 	}
 	for name, want := range cases {
 		if got := benchFamily(name); got != want {

@@ -121,7 +121,6 @@ func record(args []string) {
 	topoName := fs.String("topo", "mesh", "fabric topology: mesh|torus|ring")
 	width := fs.Int("width", 8, "fabric width (nodes per row)")
 	height := fs.Int("height", 8, "fabric height (rows; must be 1 for -topo ring)")
-	workers := fs.Int("workers", 0, "tick-engine workers: 0 or 1 = serial, N > 1 = sharded parallel engine (bit-identical)")
 	preset := fs.String("power-preset", "", "power-model calibration: "+strings.Join(powerpunch.PowerPresets(), "|")+" (default: "+powerpunch.DefaultPowerPreset+")")
 	_ = fs.Parse(args)
 
@@ -144,7 +143,6 @@ func record(args []string) {
 	cfg.Width, cfg.Height = *width, *height
 	cfg.WarmupCycles = 0
 	cfg.MeasureCycles = 1 << 40
-	cfg.Workers = *workers
 	cfg.PowerPreset = *preset
 	net, err := powerpunch.NewNetwork(cfg)
 	if err != nil {
@@ -193,7 +191,6 @@ func replay(args []string) {
 	topoName := fs.String("topo", "mesh", "fabric topology the trace was recorded on: mesh|torus|ring")
 	width := fs.Int("width", 8, "fabric width")
 	height := fs.Int("height", 8, "fabric height (must be 1 for -topo ring)")
-	workers := fs.Int("workers", 0, "tick-engine workers: 0 or 1 = serial, N > 1 = sharded parallel engine (bit-identical)")
 	preset := fs.String("power-preset", "", "power-model calibration: "+strings.Join(powerpunch.PowerPresets(), "|")+" (default: "+powerpunch.DefaultPowerPreset+")")
 	_ = fs.Parse(args)
 
@@ -223,7 +220,6 @@ func replay(args []string) {
 	cfg.Width, cfg.Height = *width, *height
 	cfg.WarmupCycles = 0
 	cfg.MeasureCycles = 1 << 40
-	cfg.Workers = *workers
 	cfg.PowerPreset = *preset
 	net, err := powerpunch.NewNetwork(cfg)
 	if err != nil {

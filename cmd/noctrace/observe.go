@@ -37,7 +37,6 @@ type simFlags struct {
 	topo    *string
 	width   *int
 	height  *int
-	workers *int
 	bench   *string
 	instr   *int64
 	preset  *string
@@ -54,7 +53,6 @@ func addSimFlags(fs *flag.FlagSet) *simFlags {
 		topo:    fs.String("topo", "mesh", "fabric topology: mesh|torus|ring"),
 		width:   fs.Int("width", 8, "fabric width (nodes per row)"),
 		height:  fs.Int("height", 8, "fabric height (rows; must be 1 for -topo ring)"),
-		workers: fs.Int("workers", 0, "tick-engine workers: 0 or 1 = serial, N > 1 = sharded parallel engine (bit-identical, observed event stream included)"),
 		bench:   fs.String("bench", "", "drive a full-system CMP/PARSEC workload instead of synthetic traffic (profile name, see powerpunch -list)"),
 		instr:   fs.Int64("instr", 20_000, "instructions per core for -bench"),
 		preset:  fs.String("power-preset", "", "power-model calibration: "+strings.Join(powerpunch.PowerPresets(), "|")+" (default: "+powerpunch.DefaultPowerPreset+")"),
@@ -105,7 +103,6 @@ func (sf *simFlags) build(opts ...powerpunch.Option) (*powerpunch.Network, power
 	cfg.Width, cfg.Height = *sf.width, *sf.height
 	cfg.WarmupCycles = *sf.warmup
 	cfg.MeasureCycles = *sf.cycles
-	cfg.Workers = *sf.workers
 	cfg.PowerPreset = *sf.preset
 	if *sf.bench != "" {
 		// Workload runs measure from cycle 0 until the protocol drains;

@@ -35,7 +35,6 @@ func main() {
 	hops := flag.Int("hops", 3, "punch hop count for fig13")
 	csvDir := flag.String("csv", "", "also write plot-ready CSV files into this directory (fig7-fig13)")
 	checks := flag.Bool("checks", false, "run with the cycle-level invariant engine enabled (slower; violations abort with a replayable artifact)")
-	workers := flag.Int("workers", 0, "tick-engine workers per simulation: 0 or 1 = serial, N > 1 = sharded parallel engine (bit-identical results)")
 	fullTick := flag.Bool("fulltick", false, "use the full-walk tick scheduler instead of the active-set scheduler (bit-identical results)")
 	observe := flag.Bool("probes", false, "attach the counters probe to full-system runs and report the wakeup exposed/hidden split")
 	topoName := flag.String("topo", "", "fabric for the simulation-backed experiments: mesh|torus|ring (default: the paper's 8x8 mesh)")
@@ -58,7 +57,6 @@ func main() {
 	}
 
 	experiments.EnableChecks = *checks
-	experiments.Workers = *workers
 	experiments.FullTick = *fullTick
 	observeFullSystem = *observe
 

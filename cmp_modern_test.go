@@ -26,7 +26,6 @@ func runCMP(t *testing.T, cfg powerpunch.Config, bench string, instr int64) (pow
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer net.Close()
 	wl := powerpunch.NewWorkload(prof, net, 7)
 	res := net.RunUntil(wl, 400_000)
 	if !res.Drained {
@@ -45,9 +44,8 @@ func runCMP(t *testing.T, cfg powerpunch.Config, bench string, instr int64) (pow
 // TestCMPModernGolden is the full-system counterpart of the synthetic
 // golden differential: a CMP/PARSEC workload on the public API, on the
 // topology layer (mesh and torus), must produce a bit-identical run
-// result, execution time, probe report, AND JSONL event trace across
-// every engine — serial active-set (the reference), serial FullTick,
-// the sharded parallel engine at 2/4/8 workers, and parallel FullTick.
+// result, execution time, probe report, AND JSONL event trace on both
+// engines — active-set (the reference) and FullTick.
 // The trace comparison is the strictest check available: every event's
 // kind, node, cycle stamp, and payload, including the workload's own
 // wl_miss/wl_fill/wl_dir protocol events.
@@ -79,34 +77,20 @@ func TestCMPModernGolden(t *testing.T) {
 					t.Error("trace carries no workload protocol events")
 				}
 
-				variants := []struct {
-					name     string
-					fullTick bool
-					workers  int
-				}{
-					{"fulltick", true, 0},
-					{"workers2", false, 2},
-					{"workers4", false, 4},
-					{"workers8", false, 8},
-					{"fulltick-workers4", true, 4},
+				cfg := base
+				cfg.FullTick = true
+				res, exec, probe, trace := runCMP(t, cfg, "swaptions", 2500)
+				if res != ref {
+					t.Errorf("fulltick: run result differs:\nref %+v\ngot %+v", ref, res)
 				}
-				for _, v := range variants {
-					cfg := base
-					cfg.FullTick = v.fullTick
-					cfg.Workers = v.workers
-					res, exec, probe, trace := runCMP(t, cfg, "swaptions", 2500)
-					if res != ref {
-						t.Errorf("%s: run result differs:\nref %+v\ngot %+v", v.name, ref, res)
-					}
-					if exec != refExec {
-						t.Errorf("%s: execution time differs: ref %d got %d", v.name, refExec, exec)
-					}
-					if probe != refProbe {
-						t.Errorf("%s: probe reports differ:\nref:\n%s\ngot:\n%s", v.name, refProbe, probe)
-					}
-					if trace != refTrace {
-						t.Errorf("%s: full event traces differ", v.name)
-					}
+				if exec != refExec {
+					t.Errorf("fulltick: execution time differs: ref %d got %d", refExec, exec)
+				}
+				if probe != refProbe {
+					t.Errorf("fulltick: probe reports differ:\nref:\n%s\ngot:\n%s", refProbe, probe)
+				}
+				if trace != refTrace {
+					t.Error("fulltick: full event traces differ")
 				}
 			})
 		}
@@ -137,7 +121,6 @@ func TestCMPObserverDoesNotPerturb(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer net.Close()
 		wl := powerpunch.NewWorkload(prof, net, 3)
 		res := net.RunUntil(wl, 400_000)
 		if !res.Drained {

@@ -46,7 +46,6 @@ func main() {
 		}
 		wl := powerpunch.NewWorkload(prof, net, 7)
 		res := net.RunUntil(wl, 10_000_000)
-		net.Close()
 		if !res.Drained {
 			log.Fatalf("%v: workload did not complete", scheme)
 		}

@@ -52,12 +52,9 @@ type stallSlot struct {
 // conservation, VC legality, pipe hygiene) run every `interval` cycles.
 // The engine stops checking after the first violation.
 //
-// Concurrency contract: the engine is single-threaded. Under the
-// sharded parallel tick engine it runs only on the coordinator, after
-// the final commit barrier of the cycle, over fully-merged state — the
-// same end-of-cycle snapshot the serial engines present — and never
-// concurrently with a section body. (Checked runs also disable flit
-// pooling, so every retained artifact pointer stays stable.)
+// The engine is single-threaded and runs at the end of each cycle.
+// Checked runs disable flit pooling, so every retained artifact pointer
+// stays stable.
 type Engine struct {
 	view       View
 	interval   int64

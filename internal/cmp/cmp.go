@@ -211,17 +211,13 @@ type System struct {
 	// (wl_miss, wl_fill, wl_dir) onto the network's bus, alongside the
 	// injection/ejection/wakeup events the NIs and controllers already
 	// emit, so CMP runs produce the same JSONL traces synthetic runs do.
-	// Tick-time events (miss issue) go straight to the bus — Tick runs
-	// on the coordinator in every engine. Deliver-time events (directory
-	// actions, fills) are buffered in evq and flushed from the next
-	// coordinator-side hook (Done or Tick): under the sharded parallel
-	// engine the Deliver callbacks replay after the NI events of the
-	// same phase, so emitting inline would interleave differently than
-	// the serial engines. The buffer is drained at a fixed point of the
-	// run loop instead, making the event stream bit-identical across
-	// serial, FullTick, and parallel engines. The bus stamps flushed
-	// events with the cycle the deliver happened in (SetNow for the next
-	// cycle has not run yet at hook time).
+	// Tick-time events (miss issue) go straight to the bus. Deliver-time
+	// events (directory actions, fills) are buffered in evq and flushed
+	// from the next driver-side hook (Done or Tick), a fixed point of
+	// the run loop, so they follow every network event of the cycle
+	// they happened in. The bus stamps flushed events with the cycle the
+	// deliver happened in (SetNow for the next cycle has not run yet at
+	// hook time).
 	bus *obs.Bus
 	evq []obs.Event
 
@@ -341,9 +337,8 @@ func (s *System) issueMissTo(c *core, home mesh.NodeID, now int64) {
 		if write {
 			a = 1
 		}
-		// Direct emit: Tick runs on the coordinator in every engine, so
-		// driver-time events need no buffering (same convention as the
-		// punch fabric's driver-time emissions).
+		// Direct emit: driver-time events need no buffering (same
+		// convention as the punch fabric's driver-time emissions).
 		s.bus.Emit(obs.Event{
 			Kind: obs.KindWorkloadMiss, Node: int32(c.node),
 			Dst: int32(home), VC: int16(flit.VNRequest), Pkt: txn, A: a,
@@ -352,9 +347,8 @@ func (s *System) issueMissTo(c *core, home mesh.NodeID, now int64) {
 }
 
 // flushEvents drains buffered deliver-time events onto the bus. Called
-// only from coordinator-side hooks (Tick, Done) so the emission point —
-// and therefore the JSONL trace — is identical across the serial,
-// FullTick, and parallel engines; see the evq field comment.
+// only from driver-side hooks (Tick, Done), so the emission point — and
+// therefore the JSONL trace — is fixed; see the evq field comment.
 func (s *System) flushEvents() {
 	if s.bus == nil || len(s.evq) == 0 {
 		return

@@ -160,14 +160,11 @@ type Config struct {
 	MeasureCycles int64 // cycles of measured injection
 	DrainCycles   int64 // max cycles to wait for in-flight packets
 
-	// Workers selects the deterministic sharded parallel tick engine:
-	// the node set is split into Workers contiguous shards and every
-	// tick phase runs across the shards on a persistent worker pool,
-	// with cross-shard effects committed through per-worker buffers
-	// merged in fixed node order. Results are bit-identical to the
-	// serial engine (the golden differential suite asserts it). 0 or 1
-	// keeps today's single-threaded engine and its guarantees; values
-	// above the node count are clamped. See DESIGN.md §11.
+	// Workers is ignored: every run is single-threaded, and sweeps run
+	// their independent points concurrently. Validate still rejects
+	// negative values.
+	//
+	// Deprecated: ignored.
 	Workers int
 
 	// RecyclePackets returns ejected packets to a free list so
@@ -509,13 +506,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("config: Workers must be >= 0, got %d", c.Workers)
-	}
-	if c.Workers > 1 && c.Faults.DropRearms {
-		// The parallel engine delivers flits by having the (always
-		// re-armed) receiver pull them; with re-arms dropped the pull
-		// never happens and the engine would diverge from the serial
-		// fault behaviour instead of reproducing it.
-		return fmt.Errorf("config: the DropRearms fault requires the serial engine (Workers <= 1)")
 	}
 	return nil
 }

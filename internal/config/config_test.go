@@ -100,7 +100,6 @@ func TestOversizedPacketsDoNotBypassValidation(t *testing.T) {
 		{"CheckInterval", func(c *Config) { c.CheckInterval = -1 }, "CheckInterval must be >= 0"},
 		{"CheckStallLimit", func(c *Config) { c.CheckStallLimit = -1 }, "CheckStallLimit must be >= 0"},
 		{"Workers", func(c *Config) { c.Workers = -1 }, "Workers must be >= 0"},
-		{"DropRearmsParallel", func(c *Config) { c.Workers = 2; c.Faults.DropRearms = true }, "DropRearms fault requires the serial engine"},
 	} {
 		cfg := Default()
 		oversize(&cfg)

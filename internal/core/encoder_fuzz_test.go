@@ -41,7 +41,8 @@ func FuzzEncodeChannel(f *testing.F) {
 			return
 		}
 		rf := topo.Routing(tp)
-		r, d, k := mesh.NodeID(router), mesh.Direction(dir%6), 1+int(hops%4)
+		// hops 1-4 as given, other values wrap
+		r, d, k := mesh.NodeID(router), mesh.Direction(dir%6), 1+int((hops+3)%4)
 		enc := EncodeChannel(rf, r, d, k)
 		if noLink := d == mesh.Local || tp.Neighbor(r, d) == mesh.Invalid; noLink != (enc == nil) {
 			t.Fatalf("%s r%d %v: EncodeChannel nil = %v, but channel missing = %v", tp, r, d, enc == nil, noLink)

@@ -29,16 +29,6 @@ import (
 // every figure regeneration.
 var EnableChecks bool
 
-// Workers sets Config.Workers for every run launched by the experiment
-// drivers (`powerpunch -workers N`): 0 or 1 keeps the serial engine,
-// N > 1 runs each simulation on the sharded parallel tick engine. Runs
-// stay bit-identical to serial either way; on multi-core hosts the
-// parallel engine shortens the wall time of the biggest fabrics. Note
-// the drivers already run independent simulations concurrently via
-// parallelFor, so intra-run workers mostly pay off when a single large
-// run dominates (e.g. `-fig scale` at 16x16).
-var Workers int
-
 // fabric is the package-wide topology override set by SetFabric. The
 // zero value means "paper default" (the 8x8 mesh from config.Default),
 // so drivers are unaffected until the CLI asks for another fabric.
@@ -96,9 +86,6 @@ func SetPowerPreset(name string) error {
 func applyOverrides(cfg config.Config) config.Config {
 	if EnableChecks {
 		cfg.Checks = true
-	}
-	if Workers > 1 {
-		cfg.Workers = Workers
 	}
 	if FullTick {
 		cfg.FullTick = true

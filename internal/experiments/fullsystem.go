@@ -82,7 +82,6 @@ func RunFullSystem(o FullSystemOptions) ([]BenchResult, error) {
 			errs[i] = fmt.Errorf("experiments: %s/%v: %w", bench, s, err)
 			return
 		}
-		defer net.Close()
 		var probe *obs.Counters
 		if o.Observe {
 			probe = &obs.Counters{}

@@ -40,58 +40,48 @@ func TestStepAllocsIdleSteadyState(t *testing.T) {
 // packet recycling on, even the driver-side packet creation draws from
 // the network's pools, so a whole inject+Step cycle — the exact shape
 // of the benchmark loop — performs zero allocations at every
-// benchmarked load, on both the serial and the sharded parallel
-// engine. Without recycling the same loop costs 2–6 allocs/op at
+// benchmarked load. Without recycling the same loop costs 2–6 allocs/op at
 // loads 0.10 and 0.30 (one packet plus its flits per injection).
 func TestStepAllocsRecycledLoads(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		for _, load := range []float64{0.02, 0.10, 0.30} {
-			workers, load := workers, load
-			name := "serial"
-			if workers > 0 {
-				name = "par=4"
+	for _, load := range []float64{0.02, 0.10, 0.30} {
+		load := load
+		t.Run(fmt.Sprintf("serial/load=%.2f", load), func(t *testing.T) {
+			cfg := testConfig(config.PowerPunchPG)
+			cfg.RecyclePackets = true
+			n := mustNew(t, cfg)
+
+			// Deterministic per-node Bernoulli injection at the given
+			// load, mirroring the benchmark driver.
+			rng := uint64(0x9e3779b97f4a7c15)
+			next := func() uint64 {
+				rng = rng*6364136223846793005 + 1442695040888963407
+				return rng >> 33
 			}
-			t.Run(fmt.Sprintf("%s/load=%.2f", name, load), func(t *testing.T) {
-				cfg := testConfig(config.PowerPunchPG)
-				cfg.Workers = workers
-				cfg.RecyclePackets = true
-				n := mustNew(t, cfg)
-				defer n.Close()
-
-				// Deterministic per-node Bernoulli injection at the given
-				// load, mirroring the benchmark driver.
-				rng := uint64(0x9e3779b97f4a7c15)
-				next := func() uint64 {
-					rng = rng*6364136223846793005 + 1442695040888963407
-					return rng >> 33
-				}
-				thresh := uint64(load * 1024)
-				tick := func() {
-					for v := mesh.NodeID(0); v < 16; v++ {
-						if next()%1024 >= thresh {
-							continue
-						}
-						dst := mesh.NodeID(next() % 16)
-						if dst == v {
-							continue
-						}
-						p := n.NewPacket(v, dst, flit.VirtualNetwork(next()%3), flit.KindControl)
-						n.NI(v).Submit(p, true, n.Now())
+			thresh := uint64(load * 1024)
+			tick := func() {
+				for v := mesh.NodeID(0); v < 16; v++ {
+					if next()%1024 >= thresh {
+						continue
 					}
-					n.Step()
+					dst := mesh.NodeID(next() % 16)
+					if dst == v {
+						continue
+					}
+					p := n.NewPacket(v, dst, flit.VirtualNetwork(next()%3), flit.KindControl)
+					n.NI(v).Submit(p, true, n.Now())
 				}
+				n.Step()
+			}
 
-				// Warm-up sizes every pool, free list, and per-worker
-				// buffer past the in-flight peak the measured window can
-				// reach.
-				for i := 0; i < 4000; i++ {
-					tick()
-				}
-				if avg := testing.AllocsPerRun(300, tick); avg != 0 {
-					t.Fatalf("recycled inject+Step allocates %.3f times per cycle at load %.2f, want 0", avg, load)
-				}
-			})
-		}
+			// Warm-up sizes every pool, free list, and scratch buffer
+			// past the in-flight peak the measured window can reach.
+			for i := 0; i < 4000; i++ {
+				tick()
+			}
+			if avg := testing.AllocsPerRun(300, tick); avg != 0 {
+				t.Fatalf("recycled inject+Step allocates %.3f times per cycle at load %.2f, want 0", avg, load)
+			}
+		})
 	}
 }
 
@@ -99,56 +89,48 @@ func TestStepAllocsRecycledLoads(t *testing.T) {
 // the per-component energy accountant switched on for the measured
 // window: every emission site bumps its router's integer event
 // counter, and the whole inject+Step cycle must still allocate
-// nothing — on the serial engine and on the sharded engine.
+// nothing.
 func TestStepAllocsEnergyAccounting(t *testing.T) {
-	for _, workers := range []int{0, 4} {
-		for _, load := range []float64{0.10, 0.30} {
-			workers, load := workers, load
-			name := "serial"
-			if workers > 0 {
-				name = "par=4"
-			}
-			t.Run(fmt.Sprintf("%s/load=%.2f", name, load), func(t *testing.T) {
-				cfg := testConfig(config.PowerPunchPG)
-				cfg.Workers = workers
-				cfg.RecyclePackets = true
-				n := mustNew(t, cfg)
-				defer n.Close()
-				n.SetAccounting(true)
+	for _, load := range []float64{0.10, 0.30} {
+		load := load
+		t.Run(fmt.Sprintf("serial/load=%.2f", load), func(t *testing.T) {
+			cfg := testConfig(config.PowerPunchPG)
+			cfg.RecyclePackets = true
+			n := mustNew(t, cfg)
+			n.SetAccounting(true)
 
-				rng := uint64(0x9e3779b97f4a7c15)
-				next := func() uint64 {
-					rng = rng*6364136223846793005 + 1442695040888963407
-					return rng >> 33
-				}
-				thresh := uint64(load * 1024)
-				tick := func() {
-					for v := mesh.NodeID(0); v < 16; v++ {
-						if next()%1024 >= thresh {
-							continue
-						}
-						dst := mesh.NodeID(next() % 16)
-						if dst == v {
-							continue
-						}
-						p := n.NewPacket(v, dst, flit.VirtualNetwork(next()%3), flit.KindControl)
-						n.NI(v).Submit(p, true, n.Now())
+			rng := uint64(0x9e3779b97f4a7c15)
+			next := func() uint64 {
+				rng = rng*6364136223846793005 + 1442695040888963407
+				return rng >> 33
+			}
+			thresh := uint64(load * 1024)
+			tick := func() {
+				for v := mesh.NodeID(0); v < 16; v++ {
+					if next()%1024 >= thresh {
+						continue
 					}
-					n.Step()
+					dst := mesh.NodeID(next() % 16)
+					if dst == v {
+						continue
+					}
+					p := n.NewPacket(v, dst, flit.VirtualNetwork(next()%3), flit.KindControl)
+					n.NI(v).Submit(p, true, n.Now())
 				}
-				for i := 0; i < 4000; i++ {
-					tick()
-				}
-				if avg := testing.AllocsPerRun(300, tick); avg != 0 {
-					t.Fatalf("accounted inject+Step allocates %.3f times per cycle at load %.2f, want 0", avg, load)
-				}
-				// The report-time component view must also be hot-path
-				// clean: it folds the counters into a stack value.
-				if avg := testing.AllocsPerRun(100, func() { _ = n.Acct.Components() }); avg != 0 {
-					t.Fatalf("Components() allocates %.3f times per call, want 0", avg)
-				}
-			})
-		}
+				n.Step()
+			}
+			for i := 0; i < 4000; i++ {
+				tick()
+			}
+			if avg := testing.AllocsPerRun(300, tick); avg != 0 {
+				t.Fatalf("accounted inject+Step allocates %.3f times per cycle at load %.2f, want 0", avg, load)
+			}
+			// The report-time component view must also be hot-path
+			// clean: it folds the counters into a stack value.
+			if avg := testing.AllocsPerRun(100, func() { _ = n.Acct.Components() }); avg != 0 {
+				t.Fatalf("Components() allocates %.3f times per call, want 0", avg)
+			}
+		})
 	}
 }
 

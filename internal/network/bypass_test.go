@@ -50,11 +50,10 @@ func TestFlyOverBypassFires(t *testing.T) {
 
 // TestFlyOverEngineDifferential is the bypass scheme's bit-identical
 // engine guarantee: the same FlyOver traffic produces an identical
-// RunResult — and identical per-router bypass counts — on the serial
-// active-set scheduler, the FullTick full walk, and the sharded
-// parallel engine at 2, 4, and 8 workers, on both the open mesh and
-// the wrapped torus (whose dateline classes the landing-VC allocation
-// must respect).
+// RunResult — and identical per-router bypass counts — on the
+// active-set scheduler and the FullTick full walk, on both the open
+// mesh and the wrapped torus (whose dateline classes the landing-VC
+// allocation must respect).
 func TestFlyOverEngineDifferential(t *testing.T) {
 	fabrics := []struct {
 		topo          string
@@ -89,9 +88,6 @@ func TestFlyOverEngineDifferential(t *testing.T) {
 				mutate func(*config.Config)
 			}{
 				{"full-tick", func(c *config.Config) { c.FullTick = true }},
-				{"workers=2", func(c *config.Config) { c.Workers = 2 }},
-				{"workers=4", func(c *config.Config) { c.Workers = 4 }},
-				{"workers=8", func(c *config.Config) { c.Workers = 8 }},
 			}
 			for _, v := range variants {
 				v := v
@@ -100,7 +96,6 @@ func TestFlyOverEngineDifferential(t *testing.T) {
 					cfg := base()
 					v.mutate(&cfg)
 					n := mustNew(t, cfg)
-					defer n.Close()
 					got := runWithDriver(t, n, 23, 0.015, 5000)
 					if got != want {
 						t.Errorf("%s diverged from serial reference:\n want %+v\n  got %+v", v.name, want, got)

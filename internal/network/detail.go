@@ -68,12 +68,9 @@ func (c ComponentEnergy) Total() float64 { return c.Dynamic + c.Static + c.Overh
 
 // EnergyBreakdown is the versioned per-component energy decomposition
 // of a run (EnergyVersion), derived from the power accountant's
-// integer event counters — so it is bit-identical across the serial,
-// full-walk, and sharded parallel tick engines. Its class sums
-// reconcile with the float-accumulated aggregate RunResult.Energy
-// within summation tolerance (the aggregate stays the regression
-// oracle for the paper's numbers; a differential test in
-// internal/experiments enforces the reconciliation).
+// integer event counters — so it is bit-identical across the
+// active-set and full-walk tick engines. RunResult.Energy is its class
+// sums.
 type EnergyBreakdown struct {
 	Version  int             `json:"version"`
 	Buffer   ComponentEnergy `json:"buffer"`   // input buffers (write + read)

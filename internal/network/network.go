@@ -64,12 +64,6 @@ type Network struct {
 	// as the differential-testing reference.
 	sched *scheduler
 
-	// par is the deterministic sharded parallel tick engine (see
-	// par.go); nil unless Cfg.Workers > 1. It composes with either
-	// scheduler: the parallel step shards the full walk under
-	// Cfg.FullTick and the active set otherwise, bit-identically.
-	par *parEngine
-
 	// pool recycles flit objects on the hot path. It is wired only when
 	// Cfg.Checks is off: the invariant engine's stall tracking compares
 	// flit pointers across cycles, which recycling would alias. Pooling
@@ -175,11 +169,10 @@ func New(cfg config.Config) (*Network, error) {
 		// stale for a parked node. The sync hook replays the parked
 		// controller's skipped idle cycles first, so the read sees
 		// exactly the state the full walk would have computed. The
-		// full-tick engine steps every controller every cycle and the
-		// sharded engine syncs the 2-hop halo of every sectioned node
-		// up front (par.go syncNeighbors), so the hook no-ops there.
+		// full-tick engine steps every controller every cycle, so the
+		// hook no-ops there.
 		sync := func(id mesh.NodeID) {
-			if n.par == nil && n.sched != nil {
+			if n.sched != nil {
 				n.sched.catchUp(int32(id), n.now-1)
 			}
 		}
@@ -250,24 +243,14 @@ func New(cfg config.Config) (*Network, error) {
 			n.Checker.ObserveNI(nif)
 		}
 	}
-
-	// The parallel engine re-wires the NI pools, collectors, punch
-	// sinks, and forward hooks to per-worker lanes, so it is built last.
-	if cfg.Workers > 1 && nNodes > 1 {
-		n.par = newParEngine(n, cfg.Workers)
-	}
 	return n, nil
 }
 
-// Close releases the parallel engine's worker goroutines. A no-op on
-// serial networks; safe to call more than once. Long-lived processes
-// that build many Workers > 1 networks must call it (tests and
-// benchmarks defer it), or the workers leak.
-func (n *Network) Close() {
-	if n.par != nil {
-		n.par.Close()
-	}
-}
+// Close does nothing: a network holds no goroutines or other resources
+// beyond memory.
+//
+// Deprecated: does nothing.
+func (n *Network) Close() {}
 
 // powerConstants resolves the configured calibration preset and adapts
 // it to the configured break-even time. Unknown preset names are
@@ -308,10 +291,6 @@ func (n *Network) NewPacket(src, dst mesh.NodeID, vn flit.VirtualNetwork, kind f
 	switch {
 	case !n.Cfg.RecyclePackets:
 		p = new(flit.Packet)
-	case n.par != nil && n.par.workers[0].pool != nil:
-		// Draw from the destination owner's pool: the dst NI returns
-		// the packet there at ejection, closing the loop per worker.
-		p = n.par.workers[n.par.ownerOf[dst]].pool.Packet()
 	default:
 		p = n.pool.Packet() // nil pool (checked runs) falls back to new
 	}
@@ -334,15 +313,11 @@ func (n *Network) SetAccounting(v bool) {
 }
 
 // Step advances the network one cycle: the full walk under Cfg.FullTick,
-// the active-set path otherwise, sharded across workers when
-// Cfg.Workers > 1. All paths are bit-identical.
+// the active-set path otherwise. Both paths are bit-identical.
 func (n *Network) Step() {
-	switch {
-	case n.par != nil:
-		n.par.step()
-	case n.sched == nil:
+	if n.sched == nil {
 		n.stepFull()
-	default:
+	} else {
 		n.stepActive()
 	}
 }
@@ -625,8 +600,7 @@ func (n *Network) forwardBypass(from *router.Router, d mesh.Direction, ft router
 // flits over router i. It feeds the controller's BypassHold input and
 // pins a flown-over router in the active set, so its held wake is
 // stepped live every cycle. Stream counters are written in the router
-// phase and read here (phase 7) and at end-of-cycle quiescence — never
-// concurrently with a writer under the sharded engine.
+// phase and read here (phase 7) and at end-of-cycle quiescence.
 func (n *Network) bypassHeld(i int) bool {
 	for _, d := range mesh.LinkDirections {
 		if nb := n.nbr[i][d]; nb != mesh.Invalid && n.Routers[nb].BypassStreams(d.Opposite()) > 0 {

@@ -45,14 +45,6 @@ func (n *Network) Observe(sinks ...obs.Sink) {
 		if n.Fabric != nil {
 			n.Fabric.SetBus(n.bus)
 		}
-		if n.par != nil {
-			// Parallel engine: re-point routers, controllers, and NIs
-			// at per-worker recording lane buses whose events the
-			// coordinator replays onto the real bus in serial order.
-			// The fabric keeps the real bus — it only emits on the
-			// coordinator.
-			n.par.installLaneBuses(n.bus)
-		}
 	}
 	for _, s := range sinks {
 		// Sinks that consume cumulative per-component energy (the

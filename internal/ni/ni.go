@@ -37,26 +37,6 @@ type futureMessage struct {
 	hintValid bool
 }
 
-// PunchFabric is the subset of the punch fabric the NI drives: the
-// injection-node signals of the paper's Section 4.2. The serial engine
-// wires the real *core.Fabric; the sharded parallel tick engine wires a
-// per-worker sink that defers the calls into an op buffer replayed in
-// fixed node order before Fabric.Step — both orders produce identical
-// fabric state because the signals are per-emitter levels.
-type PunchFabric interface {
-	EmitLocal(src, dst mesh.NodeID)
-	HoldLocal(n mesh.NodeID)
-}
-
-// FlitRecycler diverts ejected-flit recycling. The parallel engine uses
-// it to route each flit back to the pool of the worker that owns the
-// flit's source node (injection draws from that pool), keeping every
-// per-worker flit population closed so steady state stays allocation-
-// free under any traffic pattern.
-type FlitRecycler interface {
-	RecycleFlit(f *flit.Flit, src mesh.NodeID)
-}
-
 // NI is one node's network interface. It is driven by the network's
 // cycle loop; it is not concurrency-safe.
 type NI struct {
@@ -64,7 +44,7 @@ type NI struct {
 	cfg  *config.Config
 	m    *topo.Topology
 	r    *router.Router
-	fab  PunchFabric // nil unless a Power Punch scheme is active
+	fab  *core.Fabric // nil unless a Power Punch scheme is active
 	col  *stats.Collector
 
 	// Deliver, if non-nil, receives every ejected packet (the coherence
@@ -94,21 +74,10 @@ type NI struct {
 	pool     *flit.Pool
 	openFree []*openInjection
 
-	// flitRec, when set, diverts ejected-flit recycling (the parallel
-	// engine routes flits back to their source-owner's pool); when nil,
-	// ejected flits go straight back to pool.
-	flitRec FlitRecycler
-
 	// recycle enables returning ejected packets to the pool's packet
 	// free list (config.RecyclePackets). Only honoured when Deliver is
 	// nil: delivered packets are owned by the protocol handler.
 	recycle bool
-
-	// deliverDefer, when set, intercepts Deliver-bound packets. The
-	// parallel engine buffers them per worker and replays the real
-	// Deliver calls on the coordinator in ascending node order, so a
-	// protocol handler observes the serial engine's exact call order.
-	deliverDefer func(p *flit.Packet, now int64)
 
 	// bus, when non-nil, receives inject/eject/NI-block events.
 	bus *obs.Bus
@@ -139,14 +108,12 @@ func New(id mesh.NodeID, m *topo.Topology, cfg *config.Config, r *router.Router,
 		cfg:     cfg,
 		m:       m,
 		r:       r,
+		fab:     fab,
 		col:     col,
 		niSlack: pol != nil && pol.NISlack(),
 		credits: make([]int, numVCs),
 		vcBusy:  make([]bool, numVCs),
 		asm:     make([][]*flit.Flit, numVCs),
-	}
-	if fab != nil { // guard the interface against a typed nil
-		n.fab = fab
 	}
 	for v := 0; v < numVCs; v++ {
 		n.credits[v] = cfg.VCDepth(v % cfg.VCsPerVN())
@@ -206,27 +173,10 @@ func (n *NI) SetBus(b *obs.Bus) { n.bus = b }
 // ejection (the invariant engine does, so checked runs leave it unset).
 func (n *NI) SetPool(p *flit.Pool) { n.pool = p }
 
-// SetPunchFabric replaces the punch-fabric sink (the parallel engine
-// installs per-worker deferring sinks). A nil value silences the NI's
-// punch signalling.
-func (n *NI) SetPunchFabric(f PunchFabric) { n.fab = f }
-
-// SetCollector replaces the statistics collector (the parallel engine
-// points each NI at its owning worker's lane collector).
-func (n *NI) SetCollector(c *stats.Collector) { n.col = c }
-
 // SetPacketRecycling enables returning ejected, undelivered packets to
 // the pool's packet free list (see config.RecyclePackets for the
 // aliasing contract callers accept).
 func (n *NI) SetPacketRecycling(v bool) { n.recycle = v }
-
-// SetFlitRecycler diverts ejected-flit recycling through r instead of
-// the NI's own pool.
-func (n *NI) SetFlitRecycler(r FlitRecycler) { n.flitRec = r }
-
-// SetDeliverDefer intercepts Deliver-bound packets with fn (see the
-// deliverDefer field); nil restores direct delivery.
-func (n *NI) SetDeliverDefer(fn func(p *flit.Packet, now int64)) { n.deliverDefer = fn }
 
 // Announce asserts the slack-2 hold for the current cycle: a resource
 // access in flight guarantees a packet will be injected here. Only
@@ -478,14 +428,7 @@ func (n *NI) ReceiveEject(ft router.FlitInTransit, now int64) {
 	}
 	p := ft.Flit.Packet
 	p.EjectedAt = now
-	if n.flitRec != nil {
-		// Parallel engine: route each flit back toward the pool of the
-		// worker that owns the packet's source (injection drew it from
-		// there), keeping every per-worker flit population closed.
-		for _, f := range n.asm[ft.VC] {
-			n.flitRec.RecycleFlit(f, p.Src)
-		}
-	} else if n.pool != nil {
+	if n.pool != nil {
 		// The packet has fully ejected: its flits can never be observed
 		// again, so return them to the pool (the Packet itself lives on —
 		// stats and the coherence substrate keep it).
@@ -502,11 +445,7 @@ func (n *NI) ReceiveEject(ft router.FlitInTransit, now int64) {
 			A: p.NetworkLatency(), B: p.WakeupWait})
 	}
 	if n.Deliver != nil {
-		if n.deliverDefer != nil {
-			n.deliverDefer(p, now)
-		} else {
-			n.Deliver(p, now)
-		}
+		n.Deliver(p, now)
 	} else if n.recycle && n.pool != nil {
 		n.pool.PutPacket(p)
 	}

@@ -212,9 +212,6 @@ func NewBus(meta Meta) *Bus {
 	return &Bus{meta: meta}
 }
 
-// Meta returns the run description the bus was created with.
-func (b *Bus) Meta() Meta { return b.meta }
-
 // MetaSink is implemented by sinks that want the run description at
 // attach time (e.g. to size per-node state or interpret Twakeup).
 type MetaSink interface {
@@ -266,15 +263,9 @@ func (b *Bus) EndCycle() {
 }
 
 // Recorder is a Sink that buffers every event in memory, in emission
-// order, for deterministic deferred replay. The sharded parallel tick
-// engine attaches one Recorder per worker lane bus: routers, PG
-// controllers, and NIs publish into their owning worker's recorder
-// during a parallel section, and the coordinator replays the buffered
-// events onto the real bus in fixed (phase-major, worker-minor) order —
-// reproducing the serial engine's ascending-node emission order exactly.
-// Mark/Slice let the replayer split one cycle's buffer into per-phase
-// segments without per-phase sinks. The buffer's capacity is retained
-// across Reset, so steady-state recording allocates nothing.
+// order, for later comparison or replay. Mark/Slice split the buffer
+// into segments without per-segment sinks. The buffer's capacity is
+// retained across Reset, so steady-state recording allocates nothing.
 type Recorder struct {
 	events []Event
 }

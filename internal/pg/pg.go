@@ -204,14 +204,8 @@ func (c *Controller) WakeRemaining() int {
 
 // Step advances the FSM by one cycle given this cycle's observations.
 // Call exactly once per simulation cycle; the resulting state governs the
-// next cycle.
-//
-// Concurrency contract: Step mutates only this controller and emits
-// only on its own bus. Inputs is a value snapshot — under the sharded
-// parallel engine each worker assembles it from state frozen at the
-// preceding barrier (neighbor wants, punch holds), so controllers of
-// different shards step concurrently without observing each other
-// mid-transition.
+// next cycle. Step mutates only this controller; Inputs is a value
+// snapshot the network assembles from this cycle's levels.
 func (c *Controller) Step(in Inputs) {
 	if !c.enabled {
 		return

@@ -63,8 +63,8 @@ func ComponentNames() []string {
 // ComponentBreakdown is the per-component energy decomposition in
 // joules, indexed by Component. It is a flat comparable value (tests
 // compare whole RunResults with ==) derived purely from the integer
-// event counters, so it is bit-identical across the serial, full-walk,
-// and sharded parallel engines by construction.
+// event counters, so it is bit-identical across the active-set and
+// full-walk engines by construction.
 type ComponentBreakdown [NumComponents]Breakdown
 
 // Classes sums the components into the aggregate three-class Breakdown

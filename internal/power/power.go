@@ -12,7 +12,7 @@
 // counts by the calibrated energies, and the aggregate Breakdown
 // (dynamic / static / overhead) is that breakdown summed by class.
 // Integer sums are order-insensitive, so both views are bit-identical
-// across the serial, full-walk, and sharded parallel engines.
+// across the active-set and full-walk engines.
 //
 // The constants are calibrated so that, at PARSEC-like loads on the
 // paper's minimal 8x8 configuration, static power is ~64% of total router
@@ -187,11 +187,9 @@ const (
 type eventCounters [numEvents]int64
 
 // Accountant accumulates energy for a network of routers as per-router
-// integer event counters. It is not concurrency-safe in general; the
-// simulator drives it from the single cycle loop. Under the sharded
-// parallel tick engine a router's counters are written only by the
-// worker that steps that router, and integer sums are order-insensitive,
-// so every engine ends with the same counts.
+// integer event counters. It is not concurrency-safe; the simulator
+// drives it from the single cycle loop. Integer sums are
+// order-insensitive, so both tick engines end with the same counts.
 type Accountant struct {
 	C       Constants
 	enabled bool

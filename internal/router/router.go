@@ -127,22 +127,10 @@ func (op *OutputPort) Credits(v int) int { return op.credits[v] }
 // VC holding downstream VC v of this output port, or -1 when free.
 func (op *OutputPort) Owner(v int) int { return op.owner[v] }
 
-// Router is one fabric router.
-//
-// Concurrency contract (the sharded parallel tick engine in
-// internal/network relies on these; keep them when changing the
-// router):
-//
-//   - Step, EmitPunches, and the stall-accounting walk touch only this
-//     router's own state and its own accounting lane / lane bus; they
-//     never read or write a neighboring router. Cross-router effects
-//     travel exclusively through the output pipes and credit queues,
-//     drained by the *receiving* side.
-//   - ReceiveFlit mutates only input-port state on this router, emits
-//     no events, and its accounting (one buffer write) is a constant
-//     independent of arrival order — so the receiver's worker may apply
-//     arrivals from several upstream routers in any port order.
-//   - EmitPunches reads only this router's own input VC buffers.
+// Router is one fabric router. Step, EmitPunches, and the
+// stall-accounting walk touch only this router's own state; cross-router
+// effects travel exclusively through the output pipes and credit
+// queues, drained by the network's delivery phase.
 type Router struct {
 	ID   mesh.NodeID
 	cfg  *config.Config

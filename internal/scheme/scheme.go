@@ -8,7 +8,7 @@
 // Before this layer existed, scheme behaviour was an int enum in
 // internal/config whose boolean predicates leaked into six packages;
 // adding a rival scheme meant touching every layer. Now the network,
-// router, NI, parallel engine, and invariant engine consult one Policy
+// router, NI, and invariant engine consult one Policy
 // resolved once at construction, and a new scheme is one Register call
 // (see DESIGN.md §15 and the README "Adding a scheme" walkthrough).
 //
@@ -69,7 +69,7 @@ type Accountant interface {
 // detour's extra energy. The router invokes it at the granting
 // (upstream) router when a flit is sent onto a bypass path — the
 // charge lands on the sender so the float accumulation order is
-// identical across the serial, full-walk, and parallel engines.
+// identical across the active-set and full-walk engines.
 type BypassEnergy interface {
 	// AttributeBypass charges the energy of one bypass hop (the latch
 	// path through the gated router) against sender's accumulators.

@@ -81,28 +81,30 @@ func TestCanonicalKeyFieldSensitivity(t *testing.T) {
 	}
 }
 
+// TestCanonicalKeyIgnoresEngine: specs once carried a "workers" field
+// choosing an intra-run tick engine, which never entered the key. A
+// stored spec that still carries it decodes leniently (as the state
+// file does) to the spec without it, and keeps the key it was stored
+// under.
 func TestCanonicalKeyIgnoresEngine(t *testing.T) {
-	serial := quickSpec(1)
-	sharded := quickSpec(1)
-	sharded.Workers = 8
-	ns, err := serial.normalize()
+	var stored JobSpec
+	mustJSON(t, []byte(`{"scheme":"PowerPunch-PG","width":4,"height":4,"pattern":"uniform","rate":0.05,"cycles":300,"seed":91,"workers":8}`), &stored)
+	if stored != quickSpec(91) {
+		t.Fatalf("lenient decode = %+v, want %+v", stored, quickSpec(91))
+	}
+	n, err := stored.normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, err := sharded.normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ns.Key() != nw.Key() {
-		t.Errorf("engine choice split the cache: %s vs %s", ns.Key(), nw.Key())
+	if got := n.Key(); got != retiredWorkersKey91 {
+		t.Errorf("key %s, want the key it was stored under, %s", got, retiredWorkersKey91)
 	}
 }
 
 // TestCacheHitByteIdentical is the PR's core determinism claim over
 // the wire: resubmitting the same (config, seed) returns the exact
 // bytes of the first run, costs zero additional simulated cycles, and
-// increments the hit counter — even when the resubmission asks for a
-// different tick engine.
+// increments the hit counter.
 func TestCacheHitByteIdentical(t *testing.T) {
 	ts := newTestServer(t, Options{Workers: 2})
 	spec := quickSpec(81)
@@ -120,11 +122,9 @@ func TestCacheHitByteIdentical(t *testing.T) {
 		t.Fatalf("sim_cycles = %v, want >= %d", simCycles, spec.Cycles)
 	}
 
-	// Same job on the sharded engine: served from cache without
-	// touching the pool (200 with cached=true, not 202).
-	respec := spec
-	respec.Workers = 2
-	second := ts.submit(t, respec, http.StatusOK)
+	// Same job again: served from cache without touching the pool
+	// (200 with cached=true, not 202).
+	second := ts.submit(t, spec, http.StatusOK)
 	if !second.Cached || second.Status != "done" {
 		t.Fatalf("resubmission not served from cache: %+v", second)
 	}

@@ -4,8 +4,8 @@
 // worker pool with admission control; finished results are cached by
 // a canonical (config, seed) hash, so repeated queries are served
 // byte-identically at zero simulation cost — sound because runs are
-// seed-deterministic and bit-identical across the serial, full-walk,
-// and sharded parallel engines. Campaigns fan parameter sweeps out
+// seed-deterministic and bit-identical across the active-set and
+// full-walk engines. Campaigns fan parameter sweeps out
 // over the same pool, report progress, survive graceful shutdown via
 // a persisted state file, and export the in-process loadsweep CSV
 // bit-for-bit. See DESIGN.md §13.
@@ -42,7 +42,6 @@ type JobSpec struct {
 	Cycles   int64   `json:"cycles,omitempty"`   // measured cycles (bench: safety bound)
 	Warmup   int64   `json:"warmup,omitempty"`   // warmup cycles before measurement
 	Seed     int64   `json:"seed,omitempty"`     // RNG seed
-	Workers  int     `json:"workers,omitempty"`  // tick-engine shards; results are engine-invariant
 
 	// PowerPreset selects the power-model calibration (power.Presets);
 	// empty means the paper's calibration. Unknown names are rejected at
@@ -149,7 +148,6 @@ func (s JobSpec) config() (config.Config, error) {
 	cfg.Topology = s.Topology
 	cfg.Width, cfg.Height = s.Width, s.Height
 	cfg.Seed = s.Seed
-	cfg.Workers = s.Workers
 	cfg.PowerPreset = s.PowerPreset
 	if s.Bench != "" {
 		// Full-system runs measure from cycle 0 until the protocol
@@ -165,10 +163,7 @@ func (s JobSpec) config() (config.Config, error) {
 
 // Key returns the canonical (config, seed) hash of the normalized
 // spec: SHA-256 over a versioned, field-tagged rendering with floats
-// in exact hexadecimal form. Workers is deliberately excluded — the
-// serial, full-walk, and sharded engines are proven bit-identical, so
-// the engine choice cannot change the result and must not split the
-// cache.
+// in exact hexadecimal form.
 func (s JobSpec) Key() string {
 	h := sha256.Sum256([]byte(fmt.Sprintf(
 		"noctrace-job-v2|scheme=%s|topo=%s|w=%d|h=%d|pattern=%s|rate=%s|bench=%s|instr=%d|cycles=%d|warmup=%d|seed=%d|preset=%s",

@@ -11,9 +11,7 @@ import (
 )
 
 // buildRun constructs the network and driver for a normalized spec,
-// attaching any observer sinks at construction. The caller owns the
-// returned network's lifecycle (Close releases the parallel engine's
-// workers when spec.Workers > 1).
+// attaching any observer sinks at construction.
 func buildRun(spec JobSpec, sinks ...obs.Sink) (*network.Network, network.Driver, error) {
 	cfg, err := spec.config()
 	if err != nil {
@@ -29,14 +27,12 @@ func buildRun(spec JobSpec, sinks ...obs.Sink) (*network.Network, network.Driver
 	if spec.Bench != "" {
 		prof, err := parsec.Profile(spec.Bench, spec.Instr)
 		if err != nil {
-			net.Close()
 			return nil, nil, err
 		}
 		return net, cmp.NewSystem(prof, net, spec.Seed), nil
 	}
 	pat, err := traffic.ByName(spec.Pattern)
 	if err != nil {
-		net.Close()
 		return nil, nil, err
 	}
 	return net, traffic.NewSynthetic(pat, spec.Rate, spec.Seed), nil
@@ -61,7 +57,6 @@ func runSpec(spec JobSpec) (*JobRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer net.Close()
 	rec := &JobRecord{Key: spec.Key(), Spec: spec}
 	if spec.Bench != "" {
 		res := net.RunUntil(drv, spec.benchBound())

@@ -116,7 +116,6 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 // every simulated cycle (for incremental emission/flushing). It
 // returns the cycle count.
 func tickAll(net *network.Network, drv network.Driver, spec JobSpec, step func(now int64)) int64 {
-	defer net.Close()
 	if spec.Bench != "" {
 		bound := spec.benchBound()
 		for (!drv.Done() || !net.Quiesced()) && net.Now() < bound {

@@ -50,44 +50,6 @@ func New(start, end int64) *Collector {
 // percentiles can be computed. Off by default to bound memory.
 func (c *Collector) KeepSamples(v bool) { c.keepSamples = v }
 
-// KeepingSamples reports whether latency samples are retained.
-func (c *Collector) KeepingSamples() bool { return c.keepSamples }
-
-// Merge folds collector o into c and resets o. The sharded parallel
-// tick engine gives each worker a lane collector (every NI records into
-// the lane of the worker that owns it) and merges the lanes into the
-// real collector in fixed worker order once per cycle, with all workers
-// quiescent. All counters are integers, so lane accumulation commutes;
-// latency samples are appended in merge order, which — lanes owning
-// contiguous node ranges, merged ascending, once per cycle — reproduces
-// the serial engine's ascending-node ejection order exactly.
-func (c *Collector) Merge(o *Collector) {
-	c.injectedPackets += o.injectedPackets
-	c.ejectedPackets += o.ejectedPackets
-	c.injectedFlits += o.injectedFlits
-	c.ejectedFlits += o.ejectedFlits
-	c.latencySum += o.latencySum
-	c.networkLatSum += o.networkLatSum
-	c.blockedSum += o.blockedSum
-	c.wakeupWaitSum += o.wakeupWaitSum
-	c.niWaitSum += o.niWaitSum
-	c.wakeupWaitNISum += o.wakeupWaitNISum
-	c.hopsSum += o.hopsSum
-	for vn := range o.perVNejected {
-		c.perVNejected[vn] += o.perVNejected[vn]
-	}
-	if o.maxLatency > c.maxLatency {
-		c.maxLatency = o.maxLatency
-	}
-	c.inFlightMeasured += o.inFlightMeasured
-	if c.keepSamples && len(o.latencySamples) > 0 {
-		c.latencySamples = append(c.latencySamples, o.latencySamples...)
-	}
-	start, end, keep := o.MeasureStart, o.MeasureEnd, o.keepSamples
-	*o = Collector{MeasureStart: start, MeasureEnd: end, keepSamples: keep,
-		latencySamples: o.latencySamples[:0]}
-}
-
 // Measured reports whether a packet created at cycle t falls in the
 // measurement window.
 func (c *Collector) Measured(t int64) bool {

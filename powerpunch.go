@@ -17,12 +17,11 @@
 //	res := net.Run(drv)
 //	fmt.Println(res.Summary.AvgLatency, res.StaticSaved)
 //
-// Setting Config.Workers > 1 runs each simulation on a sharded
-// parallel tick engine whose results — metrics, reports, and the full
-// observability event stream — are bit-identical to the serial
-// engine's; Config.RecyclePackets additionally makes the steady-state
-// inject+step cycle allocation-free. Call Network.Close when done with
-// a parallel network to release its worker goroutines.
+// Each simulation runs on one goroutine: the active-set tick engine by
+// default, or the full walk under Config.FullTick, with bit-identical
+// results. Experiment drivers and campaigns run the independent points
+// of a sweep concurrently instead. Config.RecyclePackets makes the
+// steady-state inject+step cycle allocation-free.
 package powerpunch
 
 import (
@@ -110,8 +109,8 @@ type (
 	// EnergyBreakdown is RunDetail's per-component energy decomposition
 	// (buffers, crossbar, allocators, clock, links, punch channels,
 	// wakeup handshake, power gates), derived from integer event
-	// counters and therefore bit-identical across the serial, full-walk,
-	// and parallel tick engines.
+	// counters and therefore bit-identical across the active-set and
+	// full-walk tick engines.
 	EnergyBreakdown = network.EnergyBreakdown
 	// ComponentEnergy is one component's dynamic/static/overhead energy.
 	ComponentEnergy = network.ComponentEnergy

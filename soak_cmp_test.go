@@ -10,25 +10,22 @@ import (
 // TestSoakCMP is the full-system soak (Makefile `soak-cmp`, run under
 // the race detector in CI): one short PARSEC profile per gating scheme
 // driven to completion through the public API with the invariant
-// engine sweeping every cycle, a counters probe attached, and — on the
-// punch schemes — the sharded parallel engine, so the workload's
-// delivery callbacks, delayed submissions, and buffered event flushes
-// all run under -race. The profiles rotate across schemes so the soak
-// touches a spread of workload behaviours (bursty, memory-bound,
-// invalidation-heavy) rather than one profile per run; the FlyOver leg
-// soaks the bypass relay and its deferred parallel-engine replay under
-// a real workload.
+// engine sweeping every cycle and a counters probe attached, so the
+// workload's delivery callbacks, delayed submissions, and buffered
+// event flushes all run under -race. The profiles rotate across
+// schemes so the soak touches a spread of workload behaviours (bursty,
+// memory-bound, invalidation-heavy) rather than one profile per run;
+// the FlyOver leg soaks the bypass relay under a real workload.
 func TestSoakCMP(t *testing.T) {
 	cases := []struct {
-		scheme  powerpunch.Scheme
-		bench   string
-		workers int
+		scheme powerpunch.Scheme
+		bench  string
 	}{
-		{powerpunch.NoPG, "blackscholes", 0},
-		{powerpunch.ConvOptPG, "canneal", 0},
-		{powerpunch.PowerPunchSignal, "ferret", 4},
-		{powerpunch.PowerPunchPG, "fluidanimate", 4},
-		{powerpunch.FlyOverPG, "swaptions", 4},
+		{powerpunch.NoPG, "blackscholes"},
+		{powerpunch.ConvOptPG, "canneal"},
+		{powerpunch.PowerPunchSignal, "ferret"},
+		{powerpunch.PowerPunchPG, "fluidanimate"},
+		{powerpunch.FlyOverPG, "swaptions"},
 	}
 	for _, c := range cases {
 		c := c
@@ -45,13 +42,11 @@ func TestSoakCMP(t *testing.T) {
 			cfg.MeasureCycles = 1 << 40
 			cfg.Checks = true
 			cfg.CheckInterval = 1
-			cfg.Workers = c.workers
 			probe := powerpunch.NewCountersProbe()
 			net, err := powerpunch.NewNetwork(cfg, powerpunch.WithObserver(probe))
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer net.Close()
 			wl := powerpunch.NewWorkload(prof, net, 17)
 			res := net.RunUntil(wl, 400_000)
 			if !res.Drained {
