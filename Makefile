@@ -131,14 +131,16 @@ bench-check: build
 	$(GO) run ./cmd/noctrace bench-diff -base $(BASELINE) -new "$$new" -max-regress $(MAXREGRESS)
 
 # Optional: extended coverage-guided fuzzing of the trace parser, the
-# end-to-end fuzz harness, the punch encoder on random fabrics and the
-# punch fabric against its dense reference (FUZZTIME per target).
+# end-to-end fuzz harness, the punch encoder on random fabrics, the
+# punch fabric against its dense reference and the campaign server's
+# job-spec decoding (FUZZTIME per target).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/traffic/ -run FuzzReadTrace -fuzz FuzzReadTrace -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/traffic/ -run FuzzNetworkEndToEnd -fuzz FuzzNetworkEndToEnd -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzEncodeChannel -fuzz FuzzEncodeChannel -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzFabricMatchesDense -fuzz FuzzFabricMatchesDense -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/serve/ -run FuzzJobSpec -fuzz FuzzJobSpec -fuzztime $(FUZZTIME)
 
 clean:
 	$(GO) clean ./...

@@ -58,12 +58,15 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"powerpunch"
+	"powerpunch/internal/network"
+	"powerpunch/internal/serve"
 )
 
 func main() {
@@ -104,71 +107,43 @@ benchmarking:   bench-json, bench-diff`)
 	os.Exit(2)
 }
 
+// fatal reports err and exits: status 2 for an unknown scheme name (a
+// usage error; the message lists the known schemes), 1 otherwise.
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "noctrace:", err)
+	var unknown *powerpunch.UnknownSchemeError
+	if errors.As(err, &unknown) {
+		os.Exit(2)
+	}
 	os.Exit(1)
 }
 
+// recordBound is record's safety bound on a -bench workload.
+const recordBound = 10_000_000
+
+// record runs a spec on the No-PG baseline with a trace recorder on
+// every NI and writes the recorded trace.
 func record(args []string) {
 	fs := flag.NewFlagSet("record", flag.ExitOnError)
+	spec := serve.JobSpec{Scheme: powerpunch.NoPG.String()} // record on the neutral baseline
+	bindSpec(fs, &spec)
+	fs.Int64Var(&spec.Cycles, "cycles", 0, "cycles of synthetic injection (default 20000; not with -bench)")
 	out := fs.String("out", "trace.jsonl", "output trace file")
-	pattern := fs.String("pattern", "uniform", "synthetic pattern (ignored with -bench)")
-	rate := fs.Float64("rate", 0.02, "offered load, flits/node/cycle")
-	cycles := fs.Int64("cycles", 20_000, "cycles of synthetic injection")
-	bench := fs.String("bench", "", "record a PARSEC-like workload instead")
-	instr := fs.Int64("instr", 20_000, "instructions per core for -bench")
-	seed := fs.Int64("seed", 1, "seed")
-	topoName := fs.String("topo", "mesh", "fabric topology: mesh|torus|ring")
-	width := fs.Int("width", 8, "fabric width (nodes per row)")
-	height := fs.Int("height", 8, "fabric height (rows; must be 1 for -topo ring)")
-	preset := fs.String("power-preset", "", "power-model calibration: "+strings.Join(powerpunch.PowerPresets(), "|")+" (default: "+powerpunch.DefaultPowerPreset+")")
 	_ = fs.Parse(args)
 
-	// Reject combinations that would otherwise be silently ignored.
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if *bench != "" {
-		for _, name := range []string{"pattern", "rate", "cycles"} {
-			if set[name] {
-				fatal(fmt.Errorf("-%s is ignored with -bench; drop one of them", name))
-			}
+	if spec.Bench != "" {
+		if spec.Cycles != 0 {
+			fatal(fmt.Errorf("-cycles is ignored with -bench; drop one of them"))
 		}
-	} else if set["instr"] {
-		fatal(fmt.Errorf("-instr only applies with -bench"))
+		spec.Cycles = recordBound
 	}
-
-	cfg := powerpunch.DefaultConfig()
-	cfg.Scheme = powerpunch.NoPG // record on the neutral baseline
-	cfg.Topology = *topoName
-	cfg.Width, cfg.Height = *width, *height
-	cfg.WarmupCycles = 0
-	cfg.MeasureCycles = 1 << 40
-	cfg.PowerPreset = *preset
-	net, err := powerpunch.NewNetwork(cfg)
+	spec, err := spec.Normalize()
 	if err != nil {
 		fatal(err)
 	}
-	rec := powerpunch.NewTraceRecorder(net)
-
-	if *bench != "" {
-		prof, err := powerpunch.PARSECProfile(*bench, *instr)
-		if err != nil {
-			fatal(err)
-		}
-		wl := powerpunch.NewWorkload(prof, net, *seed)
-		if res := net.RunUntil(wl, 10_000_000); !res.Drained {
-			fatal(fmt.Errorf("workload did not complete"))
-		}
-	} else {
-		pat, err := powerpunch.PatternByName(*pattern)
-		if err != nil {
-			fatal(err)
-		}
-		drv := powerpunch.NewSyntheticTraffic(pat, *rate, *seed)
-		for net.Now() < *cycles {
-			drv.Tick(net, net.Now())
-			net.Step()
-		}
+	var rec *powerpunch.TraceRecorder
+	if _, err := spec.Run(func(n *network.Network) { rec = powerpunch.NewTraceRecorder(n) }); err != nil {
+		fatal(err)
 	}
 
 	f, err := os.Create(*out)
@@ -194,7 +169,7 @@ func replay(args []string) {
 	preset := fs.String("power-preset", "", "power-model calibration: "+strings.Join(powerpunch.PowerPresets(), "|")+" (default: "+powerpunch.DefaultPowerPreset+")")
 	_ = fs.Parse(args)
 
-	s, err := schemeByName(*scheme)
+	s, err := powerpunch.SchemeByName(*scheme)
 	if err != nil {
 		fatal(err)
 	}

@@ -1,10 +1,10 @@
 // The observability subcommands: stream the cycle-level event trace
 // (`trace`), export a power/activity timeline (`timeline`), and run
-// the HTTP/JSON campaign server (`serve`). trace and timeline drive
-// either a synthetic pattern or — with -bench — a full-system
-// CMP/PARSEC workload, with observer sinks attached via
-// powerpunch.WithObserver; serve accepts the same workloads as job
-// specs over HTTP (internal/serve).
+// the HTTP/JSON campaign server (`serve`). trace and timeline bind
+// their flags to a serve.JobSpec and run it through JobSpec.Run, the
+// same spec and run path the server's jobs and streams use, so a
+// synthetic pattern or — with -bench — a full-system CMP/PARSEC
+// workload gives the same events and samples from either face.
 package main
 
 import (
@@ -22,128 +22,68 @@ import (
 	"time"
 
 	"powerpunch"
+	"powerpunch/internal/network"
+	"powerpunch/internal/obs"
 	"powerpunch/internal/serve"
 )
 
-// simFlags is the workload flag block shared by the observability
-// subcommands: scheme, fabric, synthetic pattern, and run length.
-type simFlags struct {
-	scheme  *string
-	pattern *string
-	rate    *float64
-	cycles  *int64
-	warmup  *int64
-	seed    *int64
-	topo    *string
-	width   *int
-	height  *int
-	bench   *string
-	instr   *int64
-	preset  *string
+// bindSpec binds the workload flags every spec-driven subcommand
+// shares to spec's fields. Each flag defaults to its field's zero
+// value, so a flag left unset leaves the field zero and
+// serve.JobSpec.Normalize fills the same default, and applies the same
+// rules, as the campaign server does for a job.
+func bindSpec(fs *flag.FlagSet, spec *serve.JobSpec) {
+	fs.StringVar(&spec.Pattern, "pattern", "", "synthetic pattern (default uniform; not with -bench)")
+	fs.Float64Var(&spec.Rate, "rate", 0, "offered load, flits/node/cycle (default 0.02; not with -bench)")
+	fs.Int64Var(&spec.Seed, "seed", 0, "seed (default 1)")
+	fs.StringVar(&spec.Topology, "topo", "", "fabric topology: mesh|torus|ring (default mesh)")
+	fs.IntVar(&spec.Width, "width", 0, "fabric width, nodes per row (default 8)")
+	fs.IntVar(&spec.Height, "height", 0, "fabric height, rows (default 8; 1 for -topo ring)")
+	fs.StringVar(&spec.Bench, "bench", "", "drive a full-system CMP/PARSEC workload instead of synthetic traffic (profile name, see powerpunch -list)")
+	fs.Int64Var(&spec.Instr, "instr", 0, "instructions per core for -bench (default 20000)")
+	fs.StringVar(&spec.PowerPreset, "power-preset", "", "power-model calibration: "+strings.Join(powerpunch.PowerPresets(), "|")+" (default "+powerpunch.DefaultPowerPreset+")")
 }
 
-func addSimFlags(fs *flag.FlagSet) *simFlags {
-	return &simFlags{
-		scheme:  fs.String("scheme", "PowerPunch-PG", "power-gating scheme: "+strings.Join(powerpunch.SchemeNames(), "|")),
-		pattern: fs.String("pattern", "uniform", "synthetic pattern (ignored with -bench)"),
-		rate:    fs.Float64("rate", 0.02, "offered load, flits/node/cycle (ignored with -bench)"),
-		cycles:  fs.Int64("cycles", 20_000, "measured cycles (with -bench: safety bound on the run)"),
-		warmup:  fs.Int64("warmup", 0, "warmup cycles before measurement (ignored with -bench)"),
-		seed:    fs.Int64("seed", 1, "seed"),
-		topo:    fs.String("topo", "mesh", "fabric topology: mesh|torus|ring"),
-		width:   fs.Int("width", 8, "fabric width (nodes per row)"),
-		height:  fs.Int("height", 8, "fabric height (rows; must be 1 for -topo ring)"),
-		bench:   fs.String("bench", "", "drive a full-system CMP/PARSEC workload instead of synthetic traffic (profile name, see powerpunch -list)"),
-		instr:   fs.Int64("instr", 20_000, "instructions per core for -bench"),
-		preset:  fs.String("power-preset", "", "power-model calibration: "+strings.Join(powerpunch.PowerPresets(), "|")+" (default: "+powerpunch.DefaultPowerPreset+")"),
-	}
+// bindRunSpec adds the flags trace and timeline take beyond bindSpec's.
+func bindRunSpec(fs *flag.FlagSet, spec *serve.JobSpec) {
+	bindSpec(fs, spec)
+	fs.StringVar(&spec.Scheme, "scheme", "", "power-gating scheme: "+strings.Join(powerpunch.SchemeNames(), "|")+" (default PowerPunch-PG)")
+	fs.Int64Var(&spec.Cycles, "cycles", 0, "measured cycles (default 20000; with -bench: safety bound on the run, floor 1000000)")
+	fs.Int64Var(&spec.Warmup, "warmup", 0, "warmup cycles before measurement (not with -bench)")
 }
 
-// rejectIgnored fails on flag combinations the simulation would
-// silently ignore: synthetic-traffic flags set alongside -bench, or
-// -instr without -bench. Only flags the user actually set (fs.Visit)
-// count — defaults are fine.
-func (sf *simFlags) rejectIgnored(fs *flag.FlagSet) {
-	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if *sf.bench != "" {
-		for _, name := range []string{"pattern", "rate", "warmup"} {
-			if set[name] {
-				fatal(fmt.Errorf("-%s is ignored with -bench; drop one of them", name))
-			}
-		}
-	} else if set["instr"] {
-		fatal(fmt.Errorf("-instr only applies with -bench"))
-	}
+// traceFlags is the parsed command line of noctrace trace.
+type traceFlags struct {
+	spec  serve.JobSpec // normalized
+	kinds obs.KindMask
+	out   string
 }
 
-// schemeByName resolves a scheme through the registry. Unknown names
-// are a usage error: the typed message lists the known schemes and the
-// process exits with status 2 (matching the preset-flag contract).
-func schemeByName(name string) (powerpunch.Scheme, error) {
-	s, err := powerpunch.SchemeByName(name)
+// parseTrace turns trace's command line into a normalized spec, the
+// same spec a POST /api/v1/stream with these fields runs.
+func parseTrace(args []string) (traceFlags, error) {
+	fs := flag.NewFlagSet("trace", flag.ExitOnError)
+	var spec serve.JobSpec
+	bindRunSpec(fs, &spec)
+	out := fs.String("out", "-", "output JSONL file, - for stdout")
+	kinds := fs.String("kinds", "", "comma-separated event kinds to keep (empty = all): inject,vc_alloc,switch,link,eject,ni_block,pg_stall,pg_gate,pg_wake,pg_active,punch_emit,punch_local,punch_merge,punch_arrive,punch_hold,wl_miss,wl_fill,wl_dir,bypass")
+	_ = fs.Parse(args)
+	mask, err := obs.ParseMask(*kinds)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "noctrace:", err)
-		os.Exit(2)
+		return traceFlags{}, err
 	}
-	return s, err
+	spec, err = spec.Normalize()
+	return traceFlags{spec: spec, kinds: mask, out: *out}, err
 }
 
-// build assembles the network (observers attached at construction) and
-// the driver the flags describe: synthetic traffic by default, a
-// full-system CMP workload with -bench.
-func (sf *simFlags) build(opts ...powerpunch.Option) (*powerpunch.Network, powerpunch.Driver, error) {
-	s, err := schemeByName(*sf.scheme)
-	if err != nil {
-		return nil, nil, err
+// writeTrace runs the spec with a JSONL event writer on w.
+func writeTrace(w io.Writer, spec serve.JobSpec, kinds obs.KindMask) (*obs.TraceWriter, *serve.Outcome, error) {
+	tw := obs.NewTraceWriter(w, kinds)
+	out, err := spec.Run(func(n *network.Network) { n.Observe(tw) })
+	if ferr := tw.Flush(); err == nil {
+		err = ferr
 	}
-	cfg := powerpunch.DefaultConfig()
-	cfg.Scheme = s
-	cfg.Topology = *sf.topo
-	cfg.Width, cfg.Height = *sf.width, *sf.height
-	cfg.WarmupCycles = *sf.warmup
-	cfg.MeasureCycles = *sf.cycles
-	cfg.PowerPreset = *sf.preset
-	if *sf.bench != "" {
-		// Workload runs measure from cycle 0 until the protocol drains;
-		// -cycles only bounds the run (see sf.run).
-		cfg.WarmupCycles = 0
-		cfg.MeasureCycles = 1 << 40
-	}
-	net, err := powerpunch.NewNetwork(cfg, opts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	if *sf.bench != "" {
-		prof, err := powerpunch.PARSECProfile(*sf.bench, *sf.instr)
-		if err != nil {
-			return nil, nil, err
-		}
-		return net, powerpunch.NewWorkload(prof, net, *sf.seed), nil
-	}
-	pat, err := powerpunch.PatternByName(*sf.pattern)
-	if err != nil {
-		return nil, nil, err
-	}
-	return net, powerpunch.NewSyntheticTraffic(pat, *sf.rate, *sf.seed), nil
-}
-
-// run drives the built driver to completion: a fixed-window Run for
-// synthetic traffic, RunUntil (bounded by -cycles, floor 1M) for a
-// -bench workload.
-func (sf *simFlags) run(net *powerpunch.Network, drv powerpunch.Driver) powerpunch.RunResult {
-	if *sf.bench == "" {
-		return net.Run(drv)
-	}
-	bound := *sf.cycles
-	if bound < 1_000_000 {
-		bound = 1_000_000
-	}
-	res := net.RunUntil(drv, bound)
-	if !res.Drained {
-		fatal(fmt.Errorf("workload %s did not complete within %d cycles", *sf.bench, bound))
-	}
-	return res
+	return tw, out, err
 }
 
 // openOut resolves an -out flag: "-" means stdout.
@@ -154,48 +94,32 @@ func openOut(path string) (io.WriteCloser, error) {
 	return os.Create(path)
 }
 
-// traceCmd streams the full cycle-level event trace of a run as JSON
-// lines, optionally filtered to a subset of event kinds.
-func traceCmd(args []string) {
-	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	sim := addSimFlags(fs)
-	out := fs.String("out", "-", "output JSONL file, - for stdout")
-	kinds := fs.String("kinds", "", "comma-separated event kinds to keep (empty = all): inject,vc_alloc,switch,link,eject,ni_block,pg_stall,pg_gate,pg_wake,pg_active,punch_emit,punch_local,punch_merge,punch_arrive,punch_hold,wl_miss,wl_fill,wl_dir")
-	_ = fs.Parse(args)
-	sim.rejectIgnored(fs)
-
-	w, err := openOut(*out)
-	if err != nil {
-		fatal(err)
-	}
-	var tw *powerpunch.EventTraceWriter
-	if *kinds == "" {
-		tw = powerpunch.NewEventTraceWriter(w)
-	} else {
-		var ks []powerpunch.ProbeKind
-		for _, name := range strings.Split(*kinds, ",") {
-			k, ok := powerpunch.ProbeKindByName(strings.TrimSpace(name))
-			if !ok {
-				fatal(fmt.Errorf("unknown event kind %q", name))
-			}
-			ks = append(ks, k)
-		}
-		tw = powerpunch.NewFilteredEventTraceWriter(w, ks...)
-	}
-
-	net, drv, err := sim.build(powerpunch.WithObserver(tw))
-	if err != nil {
-		fatal(err)
-	}
-	res := sim.run(net, drv)
-	if err := tw.Flush(); err != nil {
-		fatal(err)
-	}
+// closeOut closes an -out file; stdout stays open.
+func closeOut(w io.WriteCloser) {
 	if w != os.Stdout {
 		if err := w.Close(); err != nil {
 			fatal(err)
 		}
 	}
+}
+
+// traceCmd streams the full cycle-level event trace of a run as JSON
+// lines, optionally filtered to a subset of event kinds.
+func traceCmd(args []string) {
+	tf, err := parseTrace(args)
+	if err != nil {
+		fatal(err)
+	}
+	w, err := openOut(tf.out)
+	if err != nil {
+		fatal(err)
+	}
+	tw, out, err := writeTrace(w, tf.spec, tf.kinds)
+	if err != nil {
+		fatal(err)
+	}
+	closeOut(w)
+	res := out.Result
 	fmt.Fprintf(os.Stderr, "traced %d events over %d cycles (lat=%.2f, %d packets)\n",
 		tw.Events(), res.Cycles, res.Summary.AvgLatency, res.Summary.Ejected)
 }
@@ -204,23 +128,26 @@ func traceCmd(args []string) {
 // CSV or JSONL.
 func timelineCmd(args []string) {
 	fs := flag.NewFlagSet("timeline", flag.ExitOnError)
-	sim := addSimFlags(fs)
-	out := fs.String("out", "-", "output file, - for stdout")
+	var spec serve.JobSpec
+	bindRunSpec(fs, &spec)
+	outPath := fs.String("out", "-", "output file, - for stdout")
 	interval := fs.Int64("interval", 100, "sampling window, cycles")
 	format := fs.String("format", "csv", "csv|jsonl")
 	report := fs.Bool("report", false, "also print the counters report to stderr")
 	_ = fs.Parse(args)
-	sim.rejectIgnored(fs)
-
-	sampler := powerpunch.NewTimelineSampler(*interval)
-	probe := powerpunch.NewCountersProbe()
-	net, drv, err := sim.build(powerpunch.WithObserver(sampler, probe))
+	spec, err := spec.Normalize()
 	if err != nil {
 		fatal(err)
 	}
-	res := sim.run(net, drv)
 
-	w, err := openOut(*out)
+	sampler := obs.NewSampler(*interval)
+	probe := &obs.Counters{}
+	out, err := spec.Run(func(n *network.Network) { n.Observe(sampler, probe) })
+	if err != nil {
+		fatal(err)
+	}
+
+	w, err := openOut(*outPath)
 	if err != nil {
 		fatal(err)
 	}
@@ -235,13 +162,9 @@ func timelineCmd(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	if w != os.Stdout {
-		if err := w.Close(); err != nil {
-			fatal(err)
-		}
-	}
+	closeOut(w)
 	fmt.Fprintf(os.Stderr, "%d samples over %d cycles (lat=%.2f, hidden=%.2f)\n",
-		len(sampler.Samples()), res.Cycles, res.Summary.AvgLatency, probe.HiddenFraction())
+		len(sampler.Samples()), out.Result.Cycles, out.Result.Summary.AvgLatency, probe.HiddenFraction())
 	if *report {
 		if err := probe.WriteReport(os.Stderr); err != nil {
 			fatal(err)

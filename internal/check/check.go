@@ -175,9 +175,6 @@ func (e *Engine) EndCycle(now int64) *Violation {
 	return nil
 }
 
-// Violated reports whether a violation has been found.
-func (e *Engine) Violated() bool { return e.first != nil }
-
 // fail records the first violation; later calls are ignored.
 func (e *Engine) fail(now int64, invariant, format string, args ...any) {
 	if e.first != nil {

@@ -72,6 +72,34 @@ func TestObservedRunIsGoldenIdentical(t *testing.T) {
 	}
 }
 
+// TestTimelinePowerIsEngineInvariant: a sampler's power columns read
+// the same under the active-set scheduler as under FullTick, window for
+// window, at a load light enough that nodes park between packets.
+func TestTimelinePowerIsEngineInvariant(t *testing.T) {
+	for _, s := range config.Schemes {
+		t.Run(s.String(), func(t *testing.T) {
+			var samples [2][]obs.Sample
+			for i, full := range []bool{false, true} {
+				cfg := testConfig(s)
+				cfg.FullTick = full
+				n := mustNew(t, cfg)
+				sampler := obs.NewSampler(64)
+				n.Observe(sampler)
+				runWithDriver(t, n, 7, 0.002, 2000)
+				samples[i] = sampler.Samples()
+			}
+			if len(samples[0]) != len(samples[1]) {
+				t.Fatalf("active set sampled %d windows, full walk %d", len(samples[0]), len(samples[1]))
+			}
+			for w := range samples[0] {
+				if samples[0][w] != samples[1][w] {
+					t.Fatalf("window %d:\n active %+v\n   full %+v", w, samples[0][w], samples[1][w])
+				}
+			}
+		})
+	}
+}
+
 // TestDetailStageSumExact pins the RunDetail contract: the four stage
 // terms sum to the total latency cycles exactly, and dividing by the
 // packet count reproduces Summary.AvgLatency with no drift.

@@ -147,9 +147,9 @@ func (n *NI) SubmitDelayed(p *flit.Packet, hintValid bool, delay int, now int64)
 }
 
 // Generate places a fully-formed message directly into the NI pipeline at
-// cycle now (the slack-1 point). Callers that model their own resource
-// timing (the coherence substrate) use Announce + Generate; synthetic
-// traffic uses Submit.
+// cycle now (the slack-1 point). StepSignals calls it when a submitted
+// message's resource access completes; drivers submit through Submit or
+// SubmitDelayed, whose pending access also drives the slack-2 hold.
 func (n *NI) Generate(p *flit.Packet, now int64) {
 	p.CreatedAt = now
 	p.NIEnterAt = now
@@ -177,15 +177,6 @@ func (n *NI) SetPool(p *flit.Pool) { n.pool = p }
 // the pool's packet free list (see config.RecyclePackets for the
 // aliasing contract callers accept).
 func (n *NI) SetPacketRecycling(v bool) { n.recycle = v }
-
-// Announce asserts the slack-2 hold for the current cycle: a resource
-// access in flight guarantees a packet will be injected here. Only
-// meaningful under PowerPunch-PG; no-op otherwise.
-func (n *NI) Announce() {
-	if n.fab != nil && n.niSlack {
-		n.fab.HoldLocal(n.Node)
-	}
-}
 
 // StepSignals emits this cycle's injection-node signals into the punch
 // fabric. Under both punch schemes, a packet that has reached the NI's

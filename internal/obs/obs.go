@@ -16,6 +16,11 @@
 // exactly once per simulated cycle, after all phases of that cycle.
 package obs
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Kind discriminates event types on the bus. The numeric values are
 // part of the JSONL trace format (see TraceWriter) and must not be
 // reordered; add new kinds at the end.
@@ -148,6 +153,24 @@ const MaskAll = KindMask(1<<numKinds - 1)
 
 // Has reports whether k is in the mask.
 func (m KindMask) Has(k Kind) bool { return m&(1<<k) != 0 }
+
+// ParseMask resolves a comma-separated list of kind names (the syntax
+// of `noctrace trace -kinds` and of a stream's "kinds"); an empty list
+// selects every kind.
+func ParseMask(list string) (KindMask, error) {
+	if list == "" {
+		return MaskAll, nil
+	}
+	var m KindMask
+	for _, name := range strings.Split(list, ",") {
+		k, ok := KindByName(strings.TrimSpace(name))
+		if !ok {
+			return 0, fmt.Errorf("unknown event kind %q", name)
+		}
+		m |= 1 << k
+	}
+	return m, nil
+}
 
 // Event is one observation on the bus. It is a flat value type —
 // comparable, pointer-free — so sinks may copy and retain it freely.

@@ -8,7 +8,7 @@ package power
 type Component int
 
 // The modelled components. The first four (buffers, crossbar,
-// allocators, clock tree) leak; Constants.StaticFrac* apportions the
+// allocators, clock tree) leak; Constants.StaticFracBuffer..Clock apportion the
 // router's leakage power across them. Links are charged dynamically to
 // the sending router. The last three are power-gating machinery:
 // punch-channel signalling, the WU/PG handshake, and the gate

@@ -114,25 +114,6 @@ func (c Constants) EGatingOverhead() float64 {
 	return float64(c.BreakEvenCycles) * c.EStaticCycle()
 }
 
-// StaticFrac returns the fraction of PStaticRouter attributed to
-// component comp (zero for components that are not modelled as leaking:
-// links and the PG machinery, whose residual gated leak is charged via
-// GatedLeakFrac instead).
-func (c Constants) StaticFrac(comp Component) float64 {
-	switch comp {
-	case CompBuffer:
-		return c.StaticFracBuffer
-	case CompCrossbar:
-		return c.StaticFracCrossbar
-	case CompAlloc:
-		return c.StaticFracAlloc
-	case CompClock:
-		return c.StaticFracClock
-	default:
-		return 0
-	}
-}
-
 // RouterState is the power-relevant state of a router during a cycle.
 type RouterState int
 

@@ -21,11 +21,11 @@ func TestCanonicalKeyStability(t *testing.T) {
 		Cycles:   20_000,
 		Seed:     1,
 	}
-	nm, err := minimal.normalize()
+	nm, err := minimal.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ne, err := explicit.normalize()
+	ne, err := explicit.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestCanonicalKeyFieldSensitivity(t *testing.T) {
 		"warmup":   func(s *JobSpec) { s.Warmup = 10 },
 		"seed":     func(s *JobSpec) { s.Seed = 2 },
 	}
-	nb, err := base.normalize()
+	nb, err := base.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestCanonicalKeyFieldSensitivity(t *testing.T) {
 	for name, mutate := range mutations {
 		sp := base
 		mutate(&sp)
-		n, err := sp.normalize()
+		n, err := sp.Normalize()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -65,11 +65,11 @@ func TestCanonicalKeyFieldSensitivity(t *testing.T) {
 		seen[n.Key()] = name
 	}
 	// Bench jobs key on bench/instr instead of the synthetic axes.
-	b1, err := JobSpec{Bench: "canneal", Instr: 1000}.normalize()
+	b1, err := JobSpec{Bench: "canneal", Instr: 1000}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := JobSpec{Bench: "canneal", Instr: 2000}.normalize()
+	b2, err := JobSpec{Bench: "canneal", Instr: 2000}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCanonicalKeyIgnoresEngine(t *testing.T) {
 	if stored != quickSpec(91) {
 		t.Fatalf("lenient decode = %+v, want %+v", stored, quickSpec(91))
 	}
-	n, err := stored.normalize()
+	n, err := stored.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,7 +56,7 @@ func (cs CampaignSpec) expand() ([]JobSpec, error) {
 				for _, seed := range seeds {
 					sp := cs.Base
 					sp.Pattern, sp.Rate, sp.Scheme, sp.Seed = p, r, sch, seed
-					norm, err := sp.normalize()
+					norm, err := sp.Normalize()
 					if err != nil {
 						return nil, fmt.Errorf("point (pattern=%q rate=%g scheme=%q seed=%d): %v", p, r, sch, seed, err)
 					}

@@ -59,7 +59,7 @@ func TestResumeStateWithRetiredWorkersField(t *testing.T) {
 	// storedSpec renders a normalized point spec the way a server that
 	// still had the field wrote it into the state file.
 	storedSpec := func(seed int64) (JobSpec, string) {
-		spec, err := quickSpec(seed).normalize()
+		spec, err := quickSpec(seed).Normalize()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -91,12 +91,18 @@ func (s JobSpec) withDefaults() JobSpec {
 	return s
 }
 
-// normalize validates the spec and returns its canonical form. The
-// checks mirror the CLI's: field combinations the pre-campaign serve
+// maxNodes bounds a spec's fabric (Width*Height): 128x128, four times
+// the largest fabric the benchmark runs. Normalize rejects larger
+// fabrics before anything allocates a node table for them.
+const maxNodes = 128 * 128
+
+// Normalize validates the spec and returns its canonical form, the
+// only input Run accepts. Field combinations that would otherwise be
 // silently ignored (synthetic knobs under bench, instr without bench)
-// are rejected here, and the assembled config must pass
-// config.Validate.
-func (s JobSpec) normalize() (JobSpec, error) {
+// are rejected, the fabric is bounded by maxNodes, and the assembled
+// config must pass config.Validate. The server and the noctrace CLI
+// share it, so both apply the same defaults and rules.
+func (s JobSpec) Normalize() (JobSpec, error) {
 	if s.Bench != "" {
 		if s.Pattern != "" || s.Rate != 0 || s.Warmup != 0 {
 			return s, fmt.Errorf("pattern, rate, and warmup do not apply to bench (full-system) jobs")
@@ -111,6 +117,9 @@ func (s JobSpec) normalize() (JobSpec, error) {
 		return s, fmt.Errorf("rate must be in [0,1], got %g", s.Rate)
 	}
 	s = s.withDefaults()
+	if s.Width > 0 && s.Height > 0 && s.Width > maxNodes/s.Height {
+		return s, fmt.Errorf("fabric %dx%d exceeds the %d-node limit", s.Width, s.Height, maxNodes)
+	}
 	if _, err := config.SchemeByName(s.Scheme); err != nil {
 		// The typed *config.UnknownSchemeError carries the known names;
 		// its exact message lands in the 400 JSON envelope, mirroring

@@ -47,18 +47,18 @@ func TestCampaignUnknownPowerPresetRejected(t *testing.T) {
 // must split the result cache; the default spelled explicitly must
 // still hash like the default omitted.
 func TestPowerPresetSplitsCacheKey(t *testing.T) {
-	base, err := JobSpec{Cycles: 100}.normalize()
+	base, err := JobSpec{Cycles: 100}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := JobSpec{Cycles: 100, PowerPreset: power.DefaultPreset}.normalize()
+	explicit, err := JobSpec{Cycles: 100, PowerPreset: power.DefaultPreset}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Key() != explicit.Key() {
 		t.Errorf("explicit default preset changed the cache key")
 	}
-	other, err := JobSpec{Cycles: 100, PowerPreset: "dsent-22nm"}.normalize()
+	other, err := JobSpec{Cycles: 100, PowerPreset: "dsent-22nm"}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}

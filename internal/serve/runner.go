@@ -5,41 +5,66 @@ import (
 
 	"powerpunch/internal/cmp"
 	"powerpunch/internal/network"
-	"powerpunch/internal/obs"
 	"powerpunch/internal/parsec"
 	"powerpunch/internal/traffic"
 )
 
-// buildRun constructs the network and driver for a normalized spec,
-// attaching any observer sinks at construction.
-func buildRun(spec JobSpec, sinks ...obs.Sink) (*network.Network, network.Driver, error) {
-	cfg, err := spec.config()
+// Outcome is one finished run of a spec: the network and driver it ran
+// (for reading state after the run) and their result.
+type Outcome struct {
+	Net    *network.Network
+	Driver network.Driver
+	Result network.RunResult
+}
+
+// Run simulates a normalized spec. It builds the network and driver,
+// passes the network to attach (when non-nil) before the first cycle —
+// where callers attach observer sinks or a trace recorder — and runs
+// it to completion: network.Run (warmup, measurement, drain) for
+// synthetic traffic, network.RunUntil bounded by benchBound for a
+// bench workload. A bench run that hits its bound returns its partial
+// Outcome together with an error. The jobs API, both stream modes, and
+// noctrace trace, timeline, and record all run through here.
+func (s JobSpec) Run(attach func(*network.Network)) (*Outcome, error) {
+	cfg, err := s.config()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	net, err := network.New(cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if len(sinks) > 0 {
-		net.Observe(sinks...)
+	if attach != nil {
+		attach(net)
 	}
-	if spec.Bench != "" {
-		prof, err := parsec.Profile(spec.Bench, spec.Instr)
+	var drv network.Driver
+	if s.Bench != "" {
+		prof, err := parsec.Profile(s.Bench, s.Instr)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return net, cmp.NewSystem(prof, net, spec.Seed), nil
+		drv = cmp.NewSystem(prof, net, s.Seed)
+	} else {
+		pat, err := traffic.ByName(s.Pattern)
+		if err != nil {
+			return nil, err
+		}
+		drv = traffic.NewSynthetic(pat, s.Rate, s.Seed)
 	}
-	pat, err := traffic.ByName(spec.Pattern)
-	if err != nil {
-		return nil, nil, err
+	out := &Outcome{Net: net, Driver: drv}
+	if s.Bench == "" {
+		out.Result = net.Run(drv)
+		return out, nil
 	}
-	return net, traffic.NewSynthetic(pat, spec.Rate, spec.Seed), nil
+	out.Result = net.RunUntil(drv, s.benchBound())
+	if !out.Result.Drained {
+		return out, fmt.Errorf("workload %s did not complete within %d cycles", s.Bench, s.benchBound())
+	}
+	return out, nil
 }
 
 // benchBound is the safety bound on a full-system run: the requested
-// Cycles with the same 1M-cycle floor the noctrace CLI applies.
+// Cycles with a 1M-cycle floor.
 func (s JobSpec) benchBound() int64 {
 	if s.Cycles < 1_000_000 {
 		return 1_000_000
@@ -47,28 +72,19 @@ func (s JobSpec) benchBound() int64 {
 	return s.Cycles
 }
 
-// runSpec executes one simulation to completion and assembles its
-// record. Synthetic jobs use the standard windowed Run (warmup,
-// measurement, drain) and record throughput exactly as the in-process
-// loadsweep driver does; bench jobs run the CMP workload until the
-// protocol drains and record its execution time.
+// runSpec executes one job and assembles its record. Synthetic jobs
+// record throughput exactly as the in-process loadsweep driver does;
+// bench jobs record the workload's execution time.
 func runSpec(spec JobSpec) (*JobRecord, error) {
-	net, drv, err := buildRun(spec)
+	out, err := spec.Run(nil)
 	if err != nil {
 		return nil, err
 	}
-	rec := &JobRecord{Key: spec.Key(), Spec: spec}
-	if spec.Bench != "" {
-		res := net.RunUntil(drv, spec.benchBound())
-		if !res.Drained {
-			return nil, fmt.Errorf("workload %s did not complete within %d cycles", spec.Bench, spec.benchBound())
-		}
-		rec.Result = res
-		rec.ExecTime = drv.(*cmp.System).ExecutionTime()
-		return rec, nil
+	rec := &JobRecord{Key: spec.Key(), Spec: spec, Result: out.Result}
+	if sys, ok := out.Driver.(*cmp.System); ok {
+		rec.ExecTime = sys.ExecutionTime()
+	} else {
+		rec.Throughput = out.Net.Col.Throughput(out.Net.M.NumNodes(), spec.Cycles)
 	}
-	res := net.Run(drv)
-	rec.Result = res
-	rec.Throughput = net.Col.Throughput(net.M.NumNodes(), spec.Cycles)
 	return rec, nil
 }

@@ -423,7 +423,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad job spec: %v", err)
 		return
 	}
-	norm, err := spec.normalize()
+	norm, err := spec.Normalize()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "invalid job spec: %v", err)
 		return

@@ -26,7 +26,7 @@ func TestSoakServe(t *testing.T) {
 	keys := make(map[string]bool, len(specs))
 	for i := range specs {
 		specs[i] = quickSpec(int64(201 + i))
-		n, err := specs[i].normalize()
+		n, err := specs[i].Normalize()
 		if err != nil {
 			t.Fatal(err)
 		}

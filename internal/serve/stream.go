@@ -2,10 +2,7 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"strings"
 
 	"powerpunch/internal/network"
 	"powerpunch/internal/obs"
@@ -46,7 +43,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad stream spec: %v", err)
 		return
 	}
-	spec, err := ss.JobSpec.normalize()
+	spec, err := ss.JobSpec.Normalize()
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "invalid stream spec: %v", err)
 		return
@@ -55,20 +52,12 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if mode == "" {
 		mode = "events"
 	}
-	mask := obs.MaskAll
+	var mask obs.KindMask
 	switch mode {
 	case "events":
-		if ss.Kinds != "" {
-			var kinds []obs.Kind
-			for _, name := range strings.Split(ss.Kinds, ",") {
-				k, ok := obs.KindByName(strings.TrimSpace(name))
-				if !ok {
-					httpError(w, http.StatusBadRequest, "unknown event kind %q", name)
-					return
-				}
-				kinds = append(kinds, k)
-			}
-			mask = obs.MaskOf(kinds...)
+		if mask, err = obs.ParseMask(ss.Kinds); err != nil {
+			httpError(w, http.StatusBadRequest, "%v", err)
+			return
 		}
 	case "timeline":
 		if ss.Interval < 0 {
@@ -99,101 +88,75 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			flusher.Flush()
 		}
 	}
-	var cycles int64
+
+	// The stream's sink sees each cycle's events; onCycle, attached
+	// after it, pushes what the cycle closed down the wire; finish does
+	// the final flush and fills the terminator's counts. Write errors
+	// are dropped: they mean the client went away, and the run (already
+	// counted in sim_cycles) finishes regardless.
+	var (
+		sink    obs.Sink
+		onCycle cycleFunc
+		finish  func(*streamEnd)
+	)
 	if mode == "events" {
-		cycles = s.streamEvents(w, flush, spec, mask)
+		tw := obs.NewTraceWriter(w, mask)
+		sink = tw
+		onCycle = func(cycle int64) {
+			if (cycle+1)%flushEvery == 0 {
+				_ = tw.Flush()
+				flush()
+			}
+		}
+		finish = func(end *streamEnd) {
+			_ = tw.Flush()
+			end.Events = tw.Events()
+		}
 	} else {
 		interval := ss.Interval
 		if interval == 0 {
 			interval = 100
 		}
-		cycles = s.streamTimeline(w, flush, spec, interval)
-	}
-	s.mSimCycles.Add(cycles)
-}
-
-// tickAll drives the built run to completion, invoking step after
-// every simulated cycle (for incremental emission/flushing). It
-// returns the cycle count.
-func tickAll(net *network.Network, drv network.Driver, spec JobSpec, step func(now int64)) int64 {
-	if spec.Bench != "" {
-		bound := spec.benchBound()
-		for (!drv.Done() || !net.Quiesced()) && net.Now() < bound {
-			drv.Tick(net, net.Now())
-			net.Step()
-			step(net.Now())
-		}
-		return net.Now()
-	}
-	budget := spec.Warmup + spec.Cycles
-	for net.Now() < budget {
-		drv.Tick(net, net.Now())
-		net.Step()
-		step(net.Now())
-	}
-	drainEnd := budget + net.Cfg.DrainCycles
-	for !net.Quiesced() && net.Now() < drainEnd {
-		net.Step()
-		step(net.Now())
-	}
-	return net.Now()
-}
-
-// streamEvents runs the spec with a JSONL trace writer attached,
-// flushing down the wire every flushEvery cycles.
-func (s *Server) streamEvents(w io.Writer, flush func(), spec JobSpec, mask obs.KindMask) int64 {
-	tw := obs.NewTraceWriter(w, mask)
-	net, drv, err := buildRun(spec, tw)
-	if err != nil {
-		// The spec validated, so this is an environment failure; the
-		// status line is already written — report in-band.
-		fmt.Fprintf(w, "{\"error\":%q}\n", err.Error())
-		flush()
-		return 0
-	}
-	cycles := tickAll(net, drv, spec, func(now int64) {
-		if now%flushEvery == 0 {
-			tw.Flush()
+		sampler := obs.NewSampler(interval)
+		enc := json.NewEncoder(w)
+		emitted := 0
+		sink = sampler
+		onCycle = func(int64) {
+			samples := sampler.Samples()
+			if emitted == len(samples) {
+				return
+			}
+			for ; emitted < len(samples); emitted++ {
+				_ = enc.Encode(&samples[emitted])
+			}
 			flush()
 		}
-	})
-	tw.Flush()
-	data, _ := json.Marshal(streamEnd{StreamEnd: true, Cycles: cycles, Events: tw.Events()})
+		finish = func(end *streamEnd) { end.Samples = emitted }
+	}
+
+	out, err := spec.Run(func(n *network.Network) { n.Observe(sink, onCycle) })
+	end := streamEnd{StreamEnd: true}
+	if out != nil {
+		end.Cycles = out.Result.Cycles
+		s.mSimCycles.Add(end.Cycles)
+		finish(&end)
+	}
+	// The status line is already written, so a failed run (a bench
+	// that hit its bound) is reported in-band instead of the
+	// terminator.
+	var line any = end
+	if err != nil {
+		line = errorBody{Error: err.Error()}
+	}
+	data, _ := json.Marshal(line)
 	_, _ = w.Write(append(data, '\n'))
 	flush()
-	return cycles
 }
 
-// streamTimeline runs the spec with a periodic sampler attached,
-// emitting each closed sample window as one JSON line.
-func (s *Server) streamTimeline(w io.Writer, flush func(), spec JobSpec, interval int64) int64 {
-	sampler := obs.NewSampler(interval)
-	net, drv, err := buildRun(spec, sampler)
-	if err != nil {
-		fmt.Fprintf(w, "{\"error\":%q}\n", err.Error())
-		flush()
-		return 0
-	}
-	enc := json.NewEncoder(w)
-	emitted := 0
-	emit := func() {
-		samples := sampler.Samples()
-		if emitted == len(samples) {
-			return
-		}
-		for ; emitted < len(samples); emitted++ {
-			_ = enc.Encode(samples[emitted])
-		}
-		flush()
-	}
-	cycles := tickAll(net, drv, spec, func(now int64) {
-		if now%interval == 0 {
-			emit()
-		}
-	})
-	emit()
-	data, _ := json.Marshal(streamEnd{StreamEnd: true, Cycles: cycles, Samples: emitted})
-	_, _ = w.Write(append(data, '\n'))
-	flush()
-	return cycles
-}
+// cycleFunc adapts a function into an obs.CycleSink that ignores
+// events and is called at the end of every cycle.
+type cycleFunc func(cycle int64)
+
+func (cycleFunc) Event(*obs.Event) {}
+
+func (f cycleFunc) EndCycle(cycle int64) { f(cycle) }

@@ -96,14 +96,8 @@ func (c *Collector) PacketEjected(p *flit.Packet, hops int) {
 	}
 }
 
-// InjectedPackets returns the number of measured packets injected.
-func (c *Collector) InjectedPackets() int64 { return c.injectedPackets }
-
 // EjectedPackets returns the number of measured packets delivered.
 func (c *Collector) EjectedPackets() int64 { return c.ejectedPackets }
-
-// EjectedFlits returns the number of measured flits delivered.
-func (c *Collector) EjectedFlits() int64 { return c.ejectedFlits }
 
 // InFlight returns measured packets injected but not yet delivered.
 func (c *Collector) InFlight() int64 { return c.inFlightMeasured }
