@@ -29,11 +29,65 @@ type BenchEntry struct {
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
-// BenchBaseline is the BENCH_<date>.json file format.
+// BenchBaseline is the BENCH_<date>.json file format. Host is nil in
+// baselines written before bench-json recorded it.
 type BenchBaseline struct {
 	Date       string       `json:"date"`
 	GoVersion  string       `json:"go"`
+	Host       *BenchHost   `json:"host,omitempty"`
 	Benchmarks []BenchEntry `json:"benchmarks"`
+}
+
+// BenchHost is the machine a baseline was measured on, under the JSON
+// names of the end-to-end benchmark's host block (bench/main.go).
+type BenchHost struct {
+	NProc      int    `json:"nproc"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPUModel   string `json:"cpu_model"`
+	Kernel     string `json:"kernel"`
+}
+
+func (h *BenchHost) String() string {
+	if h == nil {
+		return "unrecorded"
+	}
+	return fmt.Sprintf("nproc %d, GOMAXPROCS %d, %s, kernel %s", h.NProc, h.GOMAXPROCS, h.CPUModel, h.Kernel)
+}
+
+// hostInfo describes this machine; fields it cannot read are "unknown".
+func hostInfo() *BenchHost {
+	h := &BenchHost{NProc: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), CPUModel: "unknown", Kernel: "unknown"}
+	if b, err := os.ReadFile("/proc/sys/kernel/osrelease"); err == nil {
+		h.Kernel = strings.TrimSpace(string(b))
+	}
+	if f, err := os.Open("/proc/cpuinfo"); err == nil {
+		defer f.Close()
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPUModel = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	return h
+}
+
+// compareHosts prints both runs' hosts to w. Rows timed on different
+// machines say nothing about the code, so it fails when both runs
+// record a host and the hosts differ, unless crossHost; a run without
+// a host block is compared with a warning.
+func compareHosts(w io.Writer, base, cur *BenchHost, crossHost bool) error {
+	fmt.Fprintf(w, "base host: %v\nnew host:  %v\n", base, cur)
+	switch {
+	case base == nil || cur == nil:
+		fmt.Fprintln(w, "WARNING  a run records no host; cannot tell whether both ran on one machine")
+	case *base != *cur && crossHost:
+		fmt.Fprintln(w, "WARNING  comparing runs from different hosts (-cross-host)")
+	case *base != *cur:
+		return fmt.Errorf("bench-diff: the runs come from different hosts; rerun the baseline here or pass -cross-host")
+	}
+	return nil
 }
 
 // procSuffix matches the -GOMAXPROCS suffix go test appends to benchmark
@@ -133,7 +187,7 @@ func benchJSON(args []string) {
 	if len(entries) == 0 {
 		fatal(fmt.Errorf("bench-json: no benchmark result lines found in input"))
 	}
-	b := BenchBaseline{Date: *date, GoVersion: runtime.Version(), Benchmarks: entries}
+	b := BenchBaseline{Date: *date, GoVersion: runtime.Version(), Host: hostInfo(), Benchmarks: entries}
 	buf, err := json.MarshalIndent(b, "", "  ")
 	if err != nil {
 		fatal(err)
@@ -239,12 +293,16 @@ func benchDiff(args []string) {
 	newPath := fs.String("new", "", "fresh run JSON (from bench-json)")
 	maxRegress := fs.Float64("max-regress", 0.10, "tolerated fractional regression (after machine-speed normalization)")
 	rawTimes := fs.Bool("raw", false, "compare wall-clock times without machine-speed normalization")
+	crossHost := fs.Bool("cross-host", false, "compare runs whose recorded hosts differ")
 	_ = fs.Parse(args)
 	if *basePath == "" || *newPath == "" {
 		fatal(fmt.Errorf("bench-diff: -base and -new are required"))
 	}
 
 	base, cur := readBaseline(*basePath), readBaseline(*newPath)
+	if err := compareHosts(os.Stdout, base.Host, cur.Host, *crossHost); err != nil {
+		fatal(err)
+	}
 	baseByName := map[string]BenchEntry{}
 	for _, e := range base.Benchmarks {
 		baseByName[e.Name] = e

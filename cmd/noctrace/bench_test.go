@@ -1,7 +1,9 @@
 package main
 
 import (
+	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -64,5 +66,74 @@ func TestSpeedFactorsPerFamily(t *testing.T) {
 	_, byFam2 := speedFactors(base, cur2)
 	if got := byFam2["FlatFam"]; math.Abs(got-1.00) > 1e-9 {
 		t.Errorf("FlatFam drift with one regressed row = %v, want 1.00 (median must absorb it)", got)
+	}
+}
+
+// TestBenchHostJSON: bench-json's host block uses the end-to-end
+// benchmark's JSON names, and a baseline written before the block
+// existed reads back with a nil Host.
+func TestBenchHostJSON(t *testing.T) {
+	h := hostInfo()
+	if h.NProc < 1 || h.GOMAXPROCS < 1 || h.CPUModel == "" || h.Kernel == "" {
+		t.Errorf("hostInfo() = %+v, want every field set", h)
+	}
+	buf, err := json.Marshal(BenchBaseline{Date: "d", GoVersion: "go", Host: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw struct {
+		Host map[string]any `json:"host"`
+	}
+	if err := json.Unmarshal(buf, &raw); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"nproc", "gomaxprocs", "cpu_model", "kernel"} {
+		if _, ok := raw.Host[k]; !ok {
+			t.Errorf("host block %s has no %q", buf, k)
+		}
+	}
+	var old BenchBaseline
+	if err := json.Unmarshal([]byte(`{"date":"2026-10-17","go":"go1.24.0","benchmarks":[]}`), &old); err != nil {
+		t.Fatal(err)
+	}
+	if old.Host != nil {
+		t.Errorf("baseline without a host block read back host %+v", old.Host)
+	}
+}
+
+// TestCompareHosts: bench-diff prints both hosts, refuses differing
+// hosts unless -cross-host, and compares a run without a host block
+// with a warning.
+func TestCompareHosts(t *testing.T) {
+	a := &BenchHost{NProc: 2, GOMAXPROCS: 2, CPUModel: "cpu A", Kernel: "6.1"}
+	b := &BenchHost{NProc: 8, GOMAXPROCS: 8, CPUModel: "cpu B", Kernel: "6.1"}
+	same := *a
+	for _, tc := range []struct {
+		name      string
+		base, cur *BenchHost
+		crossHost bool
+		fail      bool
+		warn      bool
+	}{
+		{"same", a, &same, false, false, false},
+		{"differ", a, b, false, true, false},
+		{"differ cross-host", a, b, true, false, true},
+		{"no base host", nil, b, false, false, true},
+		{"no new host", a, nil, false, false, true},
+	} {
+		var out strings.Builder
+		err := compareHosts(&out, tc.base, tc.cur, tc.crossHost)
+		if (err != nil) != tc.fail {
+			t.Errorf("%s: err = %v, want failure %v", tc.name, err, tc.fail)
+		}
+		if got := strings.Contains(out.String(), "WARNING"); got != tc.warn {
+			t.Errorf("%s: warning printed %v, want %v:\n%s", tc.name, got, tc.warn, out.String())
+		}
+		if want := "base host: " + tc.base.String(); !strings.Contains(out.String(), want) {
+			t.Errorf("%s: output %q lacks %q", tc.name, out.String(), want)
+		}
+		if want := "new host:  " + tc.cur.String(); !strings.Contains(out.String(), want) {
+			t.Errorf("%s: output %q lacks %q", tc.name, out.String(), want)
+		}
 	}
 }

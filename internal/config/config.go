@@ -375,6 +375,20 @@ func (e *UnknownPowerPresetError) Error() string {
 		e.Name, strings.Join(e.Known, ", "))
 }
 
+// MaxVCDepth is the deepest VC buffer Validate accepts: the router
+// keeps each VC's ring position and flit count in one byte.
+const MaxVCDepth = 255
+
+// VCDepthError reports a VC buffer deeper than MaxVCDepth.
+type VCDepthError struct {
+	Field string // "DataVCDepth" or "CtrlVCDepth"
+	Depth int
+}
+
+func (e *VCDepthError) Error() string {
+	return fmt.Sprintf("config: %s %d exceeds the maximum VC depth %d", e.Field, e.Depth, MaxVCDepth)
+}
+
 // ValidationErrors aggregates every scheme-scoped validation failure
 // of one Validate call, so a caller fixing a config sees all of them
 // at once instead of peeling one per run. It unwraps to its members,
@@ -434,6 +448,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: CtrlVCs must be >= 0, got %d", c.CtrlVCs)
 	case c.DataVCDepth < 1 || (c.CtrlVCs > 0 && c.CtrlVCDepth < 1):
 		return fmt.Errorf("config: VC depths must be >= 1")
+	case c.DataVCDepth > MaxVCDepth:
+		return &VCDepthError{Field: "DataVCDepth", Depth: c.DataVCDepth}
+	case c.CtrlVCs > 0 && c.CtrlVCDepth > MaxVCDepth:
+		return &VCDepthError{Field: "CtrlVCDepth", Depth: c.CtrlVCDepth}
 	case c.DataPacketSize < 1 || c.CtrlPacketSize < 1:
 		return fmt.Errorf("config: packet sizes must be >= 1")
 	}

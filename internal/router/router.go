@@ -41,27 +41,26 @@ type FlitInTransit struct {
 	Bypass bool
 }
 
-// vc is one input virtual channel: a FIFO of flits plus the routing state
-// of the packet currently at its front.
+// vc is one input virtual channel's hot state: where its ring of
+// buffered flits sits in the router-wide slot arrays, plus the routing
+// state of the packet currently at its front. Whether that packet holds
+// a downstream VC is the key's bit in Router.vaSet.
 type vc struct {
-	key   int // arbitration key: index into Router.vcs and the bitsets
-	idx   int // global VC index within the port
-	depth int
 	// credOut is the owning input port's upstream credit pipe.
 	credOut *link.Pipe[Credit]
+	// The VC's ring occupies slots [base, base+depth) of Router.slots,
+	// Router.arrs and Router.dsts; its front flit is at base+head and
+	// count flits are buffered. config.MaxVCDepth bounds depth, so the
+	// ring fields fit in a byte.
+	base               int32
+	head, count, depth uint8
 
-	buf []*flit.Flit
-	arr []int64 // arrival cycle of each buffered flit
-	// dst holds, per buffered flit, its packet's destination if it is
-	// a head flit and mesh.Invalid otherwise, so punch emission never
-	// dereferences a flit.
-	dst []int32
+	outDir uint8 // mesh.Direction of the routed output
+	key    int32 // arbitration key: index into Router.vcs and the bitsets
+	idx    int32 // global VC index within the port
+	outVC  int32
 
-	// State of the packet currently being forwarded through this VC.
 	routed      bool // output direction computed (look-ahead RC)
-	vaDone      bool // downstream VC allocated
-	outDir      mesh.Direction
-	outVC       int
 	blockedOnce bool // current head already counted as PG-blocked
 
 	// Bypass (FlyOver-style) state: thruOK is computed at route time
@@ -73,26 +72,16 @@ type vc struct {
 	bypassing bool
 }
 
-func (v *vc) empty() bool         { return len(v.buf) == 0 }
-func (v *vc) front() *flit.Flit   { return v.buf[0] }
-func (v *vc) frontArrival() int64 { return v.arr[0] }
+// front returns the slot index of v's front flit.
+func (v *vc) front() int { return int(v.base) + int(v.head) }
 
-func (v *vc) push(f *flit.Flit, now int64) {
-	v.buf = append(v.buf, f)
-	v.arr = append(v.arr, now)
-	d := int32(mesh.Invalid)
-	if f.Type.IsHead() {
-		d = int32(f.Packet.Dst)
+// slot returns the slot index of v's i-th buffered flit from the front.
+func (v *vc) slot(i int) int {
+	i += int(v.head)
+	if i >= int(v.depth) {
+		i -= int(v.depth)
 	}
-	v.dst = append(v.dst, d)
-}
-
-func (v *vc) pop() *flit.Flit {
-	f := v.buf[0]
-	v.buf = v.buf[:copy(v.buf, v.buf[1:])]
-	v.arr = v.arr[:copy(v.arr, v.arr[1:])]
-	v.dst = v.dst[:copy(v.dst, v.dst[1:])]
-	return f
+	return int(v.base) + i
 }
 
 // InputPort is one of the router's five input ports.
@@ -150,14 +139,23 @@ type Router struct {
 	// vcs is the key-indexed VC table: vcs[vcKey(p, i)] is VC i of input
 	// port p, so no stage divides a key back into (port, VC).
 	vcs []vc
+	// slots, arrs and dsts hold every VC's ring, back to back in key
+	// order: the buffered flit, its arrival cycle, and its packet's
+	// destination if it is a head flit (mesh.Invalid otherwise). The
+	// stages test for a head, and punch emission reads destinations,
+	// from dsts without dereferencing a flit.
+	slots []*flit.Flit
+	arrs  []int64
+	dsts  []int32
 
 	// Bitsets over VC keys. The stages walk the set bits of their ANDs
 	// instead of probing every (port, VC) slot, so stage cost scales with
 	// resident packets, not with the 5 x numVCs buffer geometry. occ: the
 	// VC buffers a flit. routedTo[p]: v.routed && v.outDir == p. vaSet:
-	// v.vaDone. routedTo and vaSet change only next to the vc fields they
-	// mirror (route, allocated, endPacket, bypass admission). cand is
-	// per-stage scratch for the ANDs.
+	// the VC's packet holds a downstream VC (v.outVC). routedTo and vaSet
+	// change only next to the vc fields they describe (route, allocated,
+	// endPacket, bypass admission). cand is per-stage scratch for the
+	// ANDs.
 	occ      []uint64
 	routedTo [mesh.NumPorts][]uint64
 	vaSet    []uint64
@@ -243,18 +241,12 @@ func New(id mesh.NodeID, rf *topo.RoutingFunction, cfg *config.Config, ctrl *pg.
 	for p := range r.thruNbr {
 		r.thruNbr[p] = mesh.Invalid
 	}
-	// Buffers are preallocated to the credit-enforced depth so push never
-	// grows them mid-run: on large fabrics the long tail of first-time-full
-	// VCs would otherwise keep the steady-state tick allocating for tens of
-	// thousands of cycles. Each VC's buffer is a capacity-capped window of
-	// one router-wide backing array.
-	perPort := 0
-	for v := 0; v < numVCs; v++ {
-		perPort += cfg.VCDepth(v % cfg.VCsPerVN())
-	}
-	bufs := make([]*flit.Flit, mesh.NumPorts*perPort)
-	arrs := make([]int64, mesh.NumPorts*perPort)
-	dsts := make([]int32, mesh.NumPorts*perPort)
+	// Each VC's ring is a fixed window of the router-wide slot arrays,
+	// sized to the credit-enforced depth, so buffering never allocates.
+	perPort := int(flit.NumVirtualNetworks) * (cfg.DataVCs*cfg.DataVCDepth + cfg.CtrlVCs*cfg.CtrlVCDepth)
+	r.slots = make([]*flit.Flit, mesh.NumPorts*perPort)
+	r.arrs = make([]int64, mesh.NumPorts*perPort)
+	r.dsts = make([]int32, mesh.NumPorts*perPort)
 	r.vcs = make([]vc, mesh.NumPorts*numVCs)
 	off := 0
 	for p := 0; p < mesh.NumPorts; p++ {
@@ -267,10 +259,8 @@ func New(id mesh.NodeID, rf *topo.RoutingFunction, cfg *config.Config, ctrl *pg.
 			d := cfg.VCDepth(v % cfg.VCsPerVN())
 			key := r.vcKey(p, v)
 			r.vcs[key] = vc{
-				key: key, idx: v, depth: d, credOut: ip.CreditOut,
-				buf: bufs[off : off : off+d],
-				arr: arrs[off : off : off+d],
-				dst: dsts[off : off : off+d],
+				credOut: ip.CreditOut, base: int32(off), depth: uint8(d),
+				key: int32(key), idx: int32(v),
 			}
 			off += d
 		}
@@ -321,23 +311,20 @@ func (r *Router) Empty() bool { return r.buffered == 0 }
 // guarantees buffer space (credit-based flow control).
 func (r *Router) ReceiveFlit(d mesh.Direction, vcIdx int, f *flit.Flit, now int64) {
 	v := r.vcAt(int(d), vcIdx)
-	if len(v.buf) >= v.depth {
+	if v.count == v.depth {
 		panic(fmt.Sprintf("router %d: VC overflow on %v vc%d (credit protocol violated)", r.ID, d, vcIdx))
 	}
-	v.push(f, now)
-	setBit(r.occ, v.key)
+	i := v.slot(int(v.count))
+	r.slots[i], r.arrs[i], r.dsts[i] = f, now, int32(mesh.Invalid)
+	if f.Type.IsHead() {
+		r.dsts[i] = int32(f.Packet.Dst)
+	}
+	v.count++
+	setBit(r.occ, int(v.key))
 	r.buffered++
 	if r.acct != nil {
 		r.acct.BufferWrite(int(r.ID))
 	}
-}
-
-// CanAcceptFlit reports whether input port d, VC vcIdx has buffer space.
-// The NI, which plays the upstream-router role on the Local port, keeps
-// its own credit count; this is for tests and assertions.
-func (r *Router) CanAcceptFlit(d mesh.Direction, vcIdx int) bool {
-	v := r.vcAt(int(d), vcIdx)
-	return len(v.buf) < v.depth
 }
 
 // ReceiveCredit restores one credit for output port d, VC vcIdx.
@@ -348,7 +335,7 @@ func (r *Router) ReceiveCredit(d mesh.Direction, vcIdx int) {
 // VCOccupancy returns the number of flits buffered in input port d,
 // virtual channel v (used by the network's invariant checks).
 func (r *Router) VCOccupancy(d mesh.Direction, v int) int {
-	return len(r.vcAt(int(d), v).buf)
+	return int(r.vcAt(int(d), v).count)
 }
 
 // vcKey packs (input port, vc index) into a single arbitration key.
@@ -357,8 +344,9 @@ func (r *Router) vcKey(port, vcIdx int) int { return port*r.numVCs + vcIdx }
 // vcAt returns VC vcIdx of input port port.
 func (r *Router) vcAt(port, vcIdx int) *vc { return &r.vcs[r.vcKey(port, vcIdx)] }
 
-func setBit(s []uint64, key int)   { s[key>>6] |= 1 << (key & 63) }
-func clearBit(s []uint64, key int) { s[key>>6] &^= 1 << (key & 63) }
+func setBit(s []uint64, key int)      { s[key>>6] |= 1 << (key & 63) }
+func clearBit(s []uint64, key int)    { s[key>>6] &^= 1 << (key & 63) }
+func hasBit(s []uint64, key int) bool { return s[key>>6]&(1<<(key&63)) != 0 }
 
 // and2 sets dst = a & b; and3 sets dst = a & b & c; andNot sets
 // dst = a &^ b. All operands have the router's bitset length. Each
@@ -435,35 +423,38 @@ func rrNext(s []uint64, start, last int) int {
 
 // route records the look-ahead route of v's front head (toward d).
 func (r *Router) route(v *vc, d mesh.Direction) {
-	v.outDir = d
+	v.outDir = uint8(d)
 	v.routed = true
-	setBit(r.routedTo[d], v.key)
+	setBit(r.routedTo[d], int(v.key))
 }
 
 // allocated records that v holds downstream VC ov.
 func (r *Router) allocated(v *vc, ov int) {
-	v.vaDone = true
-	v.outVC = ov
-	setBit(r.vaSet, v.key)
+	v.outVC = int32(ov)
+	setBit(r.vaSet, int(v.key))
 }
 
 // endPacket clears v's per-packet state once its tail has left.
 func (r *Router) endPacket(v *vc) {
 	if v.routed {
-		clearBit(r.routedTo[v.outDir], v.key)
+		clearBit(r.routedTo[v.outDir], int(v.key))
 	}
-	clearBit(r.vaSet, v.key)
+	clearBit(r.vaSet, int(v.key))
 	v.routed = false
-	v.vaDone = false
 	v.blockedOnce = false
 }
 
 // popFront removes v's front flit, keeping occ and the flit count in
 // step, and returns it.
 func (r *Router) popFront(v *vc) *flit.Flit {
-	out := v.pop()
-	if v.empty() {
-		clearBit(r.occ, v.key)
+	i := v.front()
+	out := r.slots[i]
+	r.slots[i] = nil
+	if v.head++; v.head == v.depth {
+		v.head = 0
+	}
+	if v.count--; v.count == 0 {
+		clearBit(r.occ, int(v.key))
 	}
 	r.buffered--
 	return out
@@ -513,18 +504,18 @@ func (r *Router) stepST(now int64) {
 				if r.bypassOn && r.wantSuppressed(v) {
 					continue // served by the bypass path, not PG-blocked
 				}
-				if now-v.frontArrival() < r.trouter {
+				if now-r.arrs[v.front()] < r.trouter {
 					continue
 				}
 				r.PGStallCycles++
-				pkt := v.front().Packet
+				pkt := r.slots[v.front()].Packet
 				pkt.WakeupWait++
 				if !v.blockedOnce {
 					v.blockedOnce = true
 					pkt.BlockedRouters++
 				}
 				if r.bus != nil {
-					r.emitStall(p, v.idx, pkt)
+					r.emitStall(p, int(v.idx), pkt)
 				}
 			}
 			continue
@@ -538,18 +529,19 @@ func (r *Router) stepST(now int64) {
 		start := r.swRR[p]
 		for key := rrNext(cand, start, -1); key != -1; key = rrNext(cand, start, key) {
 			v := &r.vcs[key]
-			if now-v.frontArrival() < r.trouter {
+			if now-r.arrs[v.front()] < r.trouter {
 				continue // pipeline depth not yet traversed
 			}
-			if op.credits[v.outVC] <= 0 {
+			ov := int(v.outVC)
+			if op.credits[ov] <= 0 {
 				continue // no downstream buffer space
 			}
 
 			// Grant: traverse the switch and the link.
 			r.swRR[p] = r.nextRR(key)
 			out := r.popFront(v)
-			op.credits[v.outVC]--
-			op.FlitOut.Push(FlitInTransit{Flit: out, VC: v.outVC}, now)
+			op.credits[ov]--
+			op.FlitOut.Push(FlitInTransit{Flit: out, VC: ov}, now)
 			r.FlitsForwarded++
 			if r.acct != nil {
 				r.acct.Traverse(int(r.ID))
@@ -561,14 +553,14 @@ func (r *Router) stepST(now int64) {
 				r.forwardHook(op.neighbor)
 			}
 			if r.bus != nil {
-				r.emitGrant(op, out, v.outVC)
+				r.emitGrant(op, out, ov)
 			}
 			// Return the freed slot upstream.
-			v.credOut.Push(Credit{VC: v.idx}, now)
+			v.credOut.Push(Credit{VC: int(v.idx)}, now)
 
 			if out.Type.IsTail() {
 				// Release the downstream VC and the per-packet state.
-				op.owner[v.outVC] = -1
+				op.owner[ov] = -1
 				r.endPacket(v)
 			}
 			break // one flit per output port per cycle
@@ -582,18 +574,18 @@ func (r *Router) stepST(now int64) {
 // Exported so the invariant engine can assert the claim's shape.
 const BypassOwner = -2
 
-// thruEligible reports whether a head routed toward direction d would
-// continue straight through the downstream router — the structural
-// condition for flying over it if it gates. Computed once at route
-// time and cached in vc.thruOK.
-func (r *Router) thruEligible(d mesh.Direction, f *flit.Flit) bool {
+// thruEligible reports whether a head bound for dst and routed toward
+// direction d would continue straight through the downstream router —
+// the structural condition for flying over it if it gates. Computed
+// once at route time and cached in vc.thruOK.
+func (r *Router) thruEligible(d mesh.Direction, dst mesh.NodeID) bool {
 	if d == mesh.Local || r.thruOut[d] == nil {
 		return false
 	}
 	if r.faultBypassIllegalTurn {
 		return true // deliberate defect: fling turning/ejecting heads too
 	}
-	next, err := r.rf.Route(r.out[d].neighbor, f.Dst())
+	next, err := r.rf.Route(r.out[d].neighbor, dst)
 	return err == nil && next == d
 }
 
@@ -608,7 +600,7 @@ func (r *Router) wantSuppressed(v *vc) bool {
 	if v.bypassing {
 		return true
 	}
-	if !v.thruOK || v.empty() || !v.front().Type.IsHead() || r.thruCtrl[v.outDir] == nil {
+	if !v.thruOK || v.count == 0 || r.dsts[v.front()] == int32(mesh.Invalid) || r.thruCtrl[v.outDir] == nil {
 		return false
 	}
 	if r.ctrlSync != nil {
@@ -645,7 +637,7 @@ func (r *Router) stepBypass(p int, now int64) {
 // alone, so a wake-in-progress at the flown-over router never strands a
 // wormhole mid-stream.
 func (r *Router) tryBypassGrant(v *vc, p int, now int64) bool {
-	if now-v.frontArrival() < r.trouter {
+	if now-r.arrs[v.front()] < r.trouter {
 		return false // pipeline depth not yet traversed
 	}
 	to := r.thruOut[p]
@@ -654,8 +646,7 @@ func (r *Router) tryBypassGrant(v *vc, p int, now int64) bool {
 			return false // no buffer space at the landing router
 		}
 	} else {
-		f := v.front()
-		if !v.thruOK || !f.Type.IsHead() {
+		if !v.thruOK || r.dsts[v.front()] == int32(mesh.Invalid) {
 			return false
 		}
 		if r.ctrlSync != nil {
@@ -668,18 +659,23 @@ func (r *Router) tryBypassGrant(v *vc, p int, now int64) bool {
 		if r.thruCtrl[p] == nil || r.thruCtrl[p].PGAsserted() {
 			return false
 		}
-		ov, ok := r.allocBypassVC(p, f)
+		// The landing VC is restricted to the dateline class the
+		// neighbor's own allocator would choose, so the contracted
+		// channel-dependency path is a subpath of the normal one and
+		// wrap-link deadlock freedom is preserved. Credit is required at
+		// claim time because the claim and the first grant are one
+		// atomic step.
+		ov, ok := r.claimVC(to, r.out[p].neighbor, r.slots[v.front()].Packet, BypassOwner, true)
 		if !ok {
 			return false
 		}
 		// The normal path may have allocated a VC in the neighbor
 		// before it gated; the stream will not use it.
-		if v.vaDone {
+		if hasBit(r.vaSet, int(v.key)) {
 			r.out[p].owner[v.outVC] = -1
-			v.vaDone = false
-			clearBit(r.vaSet, v.key)
+			clearBit(r.vaSet, int(v.key))
 		}
-		v.outVC = ov
+		v.outVC = int32(ov)
 		v.bypassing = true
 		r.bypassStreams[p]++
 	}
@@ -688,10 +684,10 @@ func (r *Router) tryBypassGrant(v *vc, p int, now int64) bool {
 	// the neighbor's bypass latch, and the second link, landing in the
 	// input buffer of the router two hops out one cycle after it would
 	// have reached the neighbor.
-	r.swRR[p] = r.nextRR(v.key)
+	r.swRR[p] = r.nextRR(int(v.key))
 	out := r.popFront(v)
 	to.credits[v.outVC]--
-	r.out[p].FlitOut.Push(FlitInTransit{Flit: out, VC: v.outVC, Bypass: true}, now)
+	r.out[p].FlitOut.Push(FlitInTransit{Flit: out, VC: int(v.outVC), Bypass: true}, now)
 	r.FlitsForwarded++
 	r.FlitsBypassed++
 	if r.acct != nil {
@@ -706,7 +702,7 @@ func (r *Router) tryBypassGrant(v *vc, p int, now int64) bool {
 		r.forwardHook(r.thruNbr[p])
 	}
 	if r.bus != nil {
-		r.emitGrant(r.out[p], out, v.outVC)
+		r.emitGrant(r.out[p], out, int(v.outVC))
 		r.bus.Emit(obs.Event{
 			Kind: obs.KindBypass,
 			Node: int32(r.ID),
@@ -718,7 +714,7 @@ func (r *Router) tryBypassGrant(v *vc, p int, now int64) bool {
 		})
 	}
 	// Return the freed slot upstream.
-	v.credOut.Push(Credit{VC: v.idx}, now)
+	v.credOut.Push(Credit{VC: int(v.idx)}, now)
 
 	if out.Type.IsTail() {
 		// Release the landing VC and per-packet state. The stream
@@ -730,55 +726,6 @@ func (r *Router) tryBypassGrant(v *vc, p int, now int64) bool {
 		v.thruOK = false
 	}
 	return true
-}
-
-// allocBypassVC claims a landing VC for a new bypass stream: a free
-// VC with credit in the flown-over neighbor's output port p,
-// restricted to the dateline class the neighbor's own allocator would
-// have chosen — the contracted channel-dependency path is a subpath
-// of the normal one, so wrap-link deadlock freedom is preserved.
-// Credit is required at claim time because the claim and the first
-// grant are one atomic step.
-func (r *Router) allocBypassVC(p int, f *flit.Flit) (int, bool) {
-	to := r.thruOut[p]
-	perVN := r.cfg.VCsPerVN()
-	base := int(f.Packet.VN) * perVN
-
-	tryRange := func(lo, hi int) (int, bool) {
-		for v := lo; v < hi; v++ {
-			if to.owner[v] == -1 && to.credits[v] > 0 {
-				to.owner[v] = BypassOwner
-				return v, true
-			}
-		}
-		return -1, false
-	}
-
-	if r.classes > 1 {
-		cls := r.rf.ClassFor(r.out[p].neighbor, f.Dst(), mesh.Direction(p))
-		if r.cfg.Faults.InvertDatelineClass {
-			cls = 1 - cls
-		}
-		dlo, dhi := r.cfg.DataVCClassRange(cls)
-		if f.Packet.Kind == flit.KindData {
-			return tryRange(base+dlo, base+dhi)
-		}
-		// Control packet: the class's control VCs first, then its data VCs.
-		clo, chi := r.cfg.CtrlVCClassRange(cls)
-		if v, ok := tryRange(base+clo, base+chi); ok {
-			return v, true
-		}
-		return tryRange(base+dlo, base+dhi)
-	}
-
-	if f.Packet.Kind == flit.KindData {
-		return tryRange(base, base+r.cfg.DataVCs)
-	}
-	// Control packet: control VCs first, then data VCs.
-	if v, ok := tryRange(base+r.cfg.DataVCs, base+perVN); ok {
-		return v, true
-	}
-	return tryRange(base, base+r.cfg.DataVCs)
 }
 
 // stepVA computes routes for newly-arrived heads (look-ahead RC costs no
@@ -796,78 +743,70 @@ func (r *Router) stepVA(now int64) {
 	}
 	for key := nextSet(r.cand, 0); key != -1; key = nextSet(r.cand, key+1) {
 		v := &r.vcs[key]
-		f := v.front()
-		if !f.Type.IsHead() {
+		i := v.front()
+		dst := mesh.NodeID(r.dsts[i])
+		if dst == mesh.Invalid {
 			continue // body/tail follow the established route
 		}
 		if !v.routed {
 			// Route computation (look-ahead: available on arrival). A
 			// routing error here means a corrupted destination — a
 			// programming error, surfaced as the typed *topo.RouteError.
-			r.route(v, topo.MustRoute(r.rf, r.ID, f.Dst()))
+			d := topo.MustRoute(r.rf, r.ID, dst)
+			r.route(v, d)
 			v.blockedOnce = false
-			v.thruOK = r.bypassOn && r.thruEligible(v.outDir, f)
+			v.thruOK = r.bypassOn && r.thruEligible(d, dst)
 		}
-		if now-v.frontArrival() < 1 {
+		if now-r.arrs[i] < 1 {
 			continue // VA is pipeline stage 2
 		}
-		op := r.out[v.outDir]
-		if got, ov := r.allocVC(op, f, key); got {
+		pkt := r.slots[i].Packet
+		if ov, got := r.claimVC(r.out[v.outDir], r.ID, pkt, key, false); got {
 			r.allocated(v, ov)
 			if r.bus != nil {
 				r.bus.Emit(obs.Event{Kind: obs.KindVCAlloc, Node: int32(r.ID),
-					Dir: int8(v.outDir), VC: int16(ov), Pkt: f.Packet.ID})
+					Dir: int8(v.outDir), VC: int16(ov), Pkt: pkt.ID})
 			}
 		}
 	}
 }
 
-// allocVC tries to allocate a downstream VC at output port op for packet
-// head f buffered in input VC key. Data packets use data VCs; control
-// packets prefer the control VC and fall back to data VCs. On fabrics
-// with wrap links (torus, ring) inter-router outputs are additionally
-// restricted to the packet's dateline VC class, which is what breaks
-// the ring's channel-dependency cycle (see topo.RoutingFunction.ClassFor);
-// ejection through the Local port is never class-restricted.
-func (r *Router) allocVC(op *OutputPort, f *flit.Flit, key int) (bool, int) {
-	perVN := r.cfg.VCsPerVN()
-	base := int(f.Packet.VN) * perVN
-
-	tryRange := func(lo, hi int) (bool, int) {
-		for v := lo; v < hi; v++ {
-			if op.owner[v] == -1 {
-				op.owner[v] = key
-				return true, v
+// claimVC claims a free downstream VC of output port op for packet pkt,
+// leaving router at (this router, or the flown-over neighbor for a
+// bypass stream), and marks it held by owner. Data packets use data
+// VCs; control packets prefer the control VCs and fall back to data
+// VCs. On fabrics with wrap links (torus, ring) inter-router outputs
+// are further restricted to the packet's dateline VC class, which is
+// what breaks the ring's channel-dependency cycle (see
+// topo.RoutingFunction.ClassFor); ejection through the Local port is
+// never class-restricted. needCredit also requires a free slot.
+func (r *Router) claimVC(op *OutputPort, at mesh.NodeID, pkt *flit.Packet, owner int, needCredit bool) (int, bool) {
+	base := int(pkt.VN) * r.cfg.VCsPerVN()
+	try := func(lo, hi int) (int, bool) {
+		for v := base + lo; v < base+hi; v++ {
+			if op.owner[v] == -1 && (!needCredit || op.credits[v] > 0) {
+				op.owner[v] = owner
+				return v, true
 			}
 		}
-		return false, -1
+		return -1, false
 	}
-
+	dlo, dhi := 0, r.cfg.DataVCs
+	clo, chi := r.cfg.DataVCs, r.cfg.VCsPerVN()
 	if r.classes > 1 && op.dir != mesh.Local {
-		cls := r.rf.ClassFor(r.ID, f.Dst(), op.dir)
+		cls := r.rf.ClassFor(at, pkt.Dst, op.dir)
 		if r.cfg.Faults.InvertDatelineClass {
 			cls = 1 - cls
 		}
-		dlo, dhi := r.cfg.DataVCClassRange(cls)
-		if f.Packet.Kind == flit.KindData {
-			return tryRange(base+dlo, base+dhi)
+		dlo, dhi = r.cfg.DataVCClassRange(cls)
+		clo, chi = r.cfg.CtrlVCClassRange(cls)
+	}
+	if pkt.Kind != flit.KindData {
+		if v, ok := try(clo, chi); ok {
+			return v, true
 		}
-		// Control packet: the class's control VCs first, then its data VCs.
-		clo, chi := r.cfg.CtrlVCClassRange(cls)
-		if ok, v := tryRange(base+clo, base+chi); ok {
-			return true, v
-		}
-		return tryRange(base+dlo, base+dhi)
 	}
-
-	if f.Packet.Kind == flit.KindData {
-		return tryRange(base, base+r.cfg.DataVCs)
-	}
-	// Control packet: control VCs first, then data VCs.
-	if ok, v := tryRange(base+r.cfg.DataVCs, base+perVN); ok {
-		return true, v
-	}
-	return tryRange(base, base+r.cfg.DataVCs)
+	return try(dlo, dhi)
 }
 
 // WantsOutput fills want with, per direction, whether any resident packet
@@ -904,7 +843,7 @@ func (r *Router) WantsOutputAtSA(want *[mesh.NumPorts]bool, now int64) {
 	}
 	for key := nextSet(r.occ, 0); key != -1; key = nextSet(r.occ, key+1) {
 		v := &r.vcs[key]
-		if v.routed && now-v.frontArrival() >= r.trouter {
+		if v.routed && now-r.arrs[v.front()] >= r.trouter {
 			want[v.outDir] = true
 		}
 	}
@@ -942,19 +881,19 @@ func (r *Router) ForEachVC(now int64, fn func(VCView)) {
 			view := VCView{
 				Port:      mesh.Direction(p),
 				Index:     vi,
-				Key:       v.key,
-				Depth:     v.depth,
-				Occupancy: len(v.buf),
+				Key:       int(v.key),
+				Depth:     int(v.depth),
+				Occupancy: int(v.count),
 				Routed:    v.routed,
-				VADone:    v.vaDone,
-				OutDir:    v.outDir,
-				OutVC:     v.outVC,
+				VADone:    hasBit(r.vaSet, int(v.key)),
+				OutDir:    mesh.Direction(v.outDir),
+				OutVC:     int(v.outVC),
 				ThruOK:    v.thruOK,
 				Bypassing: v.bypassing,
 			}
-			if len(v.buf) > 0 {
-				view.Front = v.buf[0]
-				view.FrontAge = now - v.arr[0]
+			if v.count > 0 {
+				view.Front = r.slots[v.front()]
+				view.FrontAge = now - r.arrs[v.front()]
 			}
 			fn(view)
 		}
@@ -963,22 +902,6 @@ func (r *Router) ForEachVC(now int64, fn func(VCView)) {
 
 // PipelineCycles returns Trouter, the per-hop pipeline depth in cycles.
 func (r *Router) PipelineCycles() int64 { return r.trouter }
-
-// ResidentHeads invokes fn for every packet whose head flit is currently
-// buffered in this router. Power Punch emits one punch per resident head
-// per cycle (level semantics: a stalled packet keeps punching).
-func (r *Router) ResidentHeads(fn func(p *flit.Packet)) {
-	if r.buffered == 0 {
-		return
-	}
-	for key := nextSet(r.occ, 0); key != -1; key = nextSet(r.occ, key+1) {
-		for _, f := range r.vcs[key].buf {
-			if f.Type.IsHead() {
-				fn(f.Packet)
-			}
-		}
-	}
-}
 
 // EnableBypass turns on FlyOver-style bypass admission at this router.
 // energy, when non-nil, is charged once per bypass grant at this
@@ -1076,17 +999,18 @@ type PunchEmitter interface {
 	EmitSource(cur, dst mesh.NodeID)
 }
 
-// EmitPunches emits one source punch per resident packet head (level
-// semantics: a stalled packet keeps punching every cycle): the hot-path
-// form of ResidentHeads + EmitSource, reading the head destinations
-// the VCs keep beside their flits instead of the flits themselves.
+// EmitPunches emits one source punch per packet whose head flit is
+// buffered in this router (level semantics: a stalled packet keeps
+// punching every cycle), in VC key order and FIFO order within a VC.
+// It reads the head-destination ring, never the flits themselves.
 func (r *Router) EmitPunches(f PunchEmitter) {
 	if r.buffered == 0 {
 		return
 	}
 	for key := nextSet(r.occ, 0); key != -1; key = nextSet(r.occ, key+1) {
-		for _, d := range r.vcs[key].dst {
-			if d != int32(mesh.Invalid) {
+		v := &r.vcs[key]
+		for i := 0; i < int(v.count); i++ {
+			if d := r.dsts[v.slot(i)]; d != int32(mesh.Invalid) {
 				f.EmitSource(r.ID, mesh.NodeID(d))
 			}
 		}

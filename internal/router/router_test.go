@@ -431,8 +431,9 @@ func TestSwitchAllocationIsRoundRobinFair(t *testing.T) {
 // and light load so routers saturate, gate, wake and (under FlyOver-PG)
 // get flown over, through an 8x8 mesh and a 4x4 torus under No-PG,
 // PowerPunch-PG and FlyOver-PG. After every cycle it checks every router:
-//   - occ, routedTo and vaSet equal a full (port, VC) probe of the VC
-//     state;
+//   - occ and routedTo equal a full (port, VC) probe of the VC state,
+//     and vaSet names exactly the VCs that own their routed output's
+//     downstream VC;
 //   - every stage walk visits what the probe it replaced would accept,
 //     in the same order: the circular (swRR[p]+k)%total probe for switch
 //     and bypass arbitration, the ascending nested (port, VC) probe for
@@ -534,8 +535,10 @@ func (pr *prober) check(r *router.Router, now int64) error {
 				return fmt.Errorf("key %d: routedTo[%v] bit %v, routed %v toward %v", k, mesh.Direction(p), !want, v.Routed, v.OutDir)
 			}
 		}
-		if has(vaSet, k) != v.VADone {
-			return fmt.Errorf("key %d: vaSet bit %v, vaDone %v", k, !v.VADone, v.VADone)
+		// vaSet is the only record of a downstream VC, so check it
+		// against the output port's owner table.
+		if holds := v.Routed && r.Out(v.OutDir).Owner(v.OutVC) == k; has(vaSet, k) != holds || v.VADone != holds {
+			return fmt.Errorf("key %d: vaSet bit %v, VADone %v, owns %v VC %d: %v", k, has(vaSet, k), v.VADone, v.OutDir, v.OutVC, holds)
 		}
 	}
 
