@@ -132,8 +132,9 @@ bench-check: build
 
 # Optional: extended coverage-guided fuzzing of the trace parser, the
 # end-to-end fuzz harness, the punch encoder on random fabrics, the
-# punch fabric against its dense reference and the campaign server's
-# job-spec decoding (FUZZTIME per target).
+# punch fabric against its dense reference, the campaign server's
+# job-spec decoding and the config -> network.New path (FUZZTIME per
+# target).
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/traffic/ -run FuzzReadTrace -fuzz FuzzReadTrace -fuzztime $(FUZZTIME)
@@ -141,6 +142,7 @@ fuzz:
 	$(GO) test ./internal/core/ -run FuzzEncodeChannel -fuzz FuzzEncodeChannel -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzFabricMatchesDense -fuzz FuzzFabricMatchesDense -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run FuzzJobSpec -fuzz FuzzJobSpec -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/network/ -run FuzzConfig -fuzz FuzzConfig -fuzztime $(FUZZTIME)
 
 clean:
 	$(GO) clean ./...

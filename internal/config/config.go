@@ -179,8 +179,9 @@ type Config struct {
 	// NI Deliver hook are never recycled.
 	RecyclePackets bool
 
-	// FullTick disables the active-set tick scheduler and walks every
-	// router, link, and NI each cycle — the seed behaviour. The two paths
+	// FullTick keeps every node in the active-set tick scheduler's set,
+	// so no node is ever parked and every phase visits every node (less
+	// those its work summary shows it has no work for). The two paths
 	// are bit-identical (the golden-metrics tests assert it); FullTick
 	// exists as the differential-testing reference and as a bisection aid
 	// when a scheduler bug is suspected.

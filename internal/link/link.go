@@ -4,7 +4,11 @@
 // sideband all use the same generic pipe.
 package link
 
-import "fmt"
+import (
+	"fmt"
+
+	"powerpunch/internal/workset"
+)
 
 // Pipe is a fixed-latency delivery queue. The zero value is unusable;
 // use NewPipe. Pipe is not concurrency-safe: the simulator's single
@@ -12,6 +16,8 @@ import "fmt"
 type Pipe[T any] struct {
 	delay int64
 	q     []entry[T]
+	// busy is set while anything is in flight (see Track).
+	busy workset.Bit
 }
 
 type entry[T any] struct {
@@ -35,10 +41,27 @@ func NewPipe[T any](delay int) *Pipe[T] {
 // Delay returns the pipe latency in cycles.
 func (p *Pipe[T]) Delay() int { return int(p.delay) }
 
+// Track makes b the pipe's occupancy bit: the pipe sets it on Push and
+// clears it when a drain empties the pipe. It is written at once from
+// the current contents.
+func (p *Pipe[T]) Track(b workset.Bit) {
+	p.busy = b
+	b.Put(len(p.q) > 0)
+}
+
 // Push enqueues v at cycle now; it arrives at now + delay. Pushes must
 // occur in nondecreasing `now` order.
 func (p *Pipe[T]) Push(v T, now int64) {
 	p.q = append(p.q, entry[T]{at: now + p.delay, v: v})
+	p.busy.Set()
+}
+
+// drop removes the n oldest items.
+func (p *Pipe[T]) drop(n int) {
+	p.q = p.q[:copy(p.q, p.q[n:])]
+	if len(p.q) == 0 {
+		p.busy.Clear()
+	}
 }
 
 // PopArrived removes and returns every item whose arrival time is <= now,
@@ -55,7 +78,7 @@ func (p *Pipe[T]) PopArrived(now int64) []T {
 	for i := 0; i < n; i++ {
 		out[i] = p.q[i].v
 	}
-	p.q = p.q[:copy(p.q, p.q[n:])]
+	p.drop(n)
 	return out
 }
 
@@ -75,7 +98,7 @@ func (p *Pipe[T]) Drain(now int64, fn func(T)) {
 		n++
 	}
 	if n > 0 {
-		p.q = p.q[:copy(p.q, p.q[n:])]
+		p.drop(n)
 	}
 }
 
@@ -90,7 +113,7 @@ func (p *Pipe[T]) DrainAppend(now int64, buf []T) []T {
 		n++
 	}
 	if n > 0 {
-		p.q = p.q[:copy(p.q, p.q[n:])]
+		p.drop(n)
 	}
 	return buf
 }

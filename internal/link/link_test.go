@@ -3,6 +3,8 @@ package link
 import (
 	"testing"
 	"testing/quick"
+
+	"powerpunch/internal/workset"
 )
 
 func TestPipeDelay(t *testing.T) {
@@ -98,5 +100,29 @@ func TestNewPipePanicsOnZeroDelay(t *testing.T) {
 func TestDelayAccessor(t *testing.T) {
 	if NewPipe[int](3).Delay() != 3 {
 		t.Error("Delay accessor")
+	}
+}
+
+// TestTrackFollowsOccupancy: the occupancy bit is set by Push and
+// cleared only by the drain that empties the pipe, whichever drain form
+// it is.
+func TestTrackFollowsOccupancy(t *testing.T) {
+	sum := make([]uint64, 1)
+	p := NewPipe[int](2)
+	p.Push(1, 0)
+	p.Track(workset.Of(sum, 5))
+	if sum[0] != 1<<5 {
+		t.Fatalf("Track did not write the current occupancy: %x", sum[0])
+	}
+	p.Push(2, 1)
+	if p.Drain(2, func(int) {}); sum[0] != 1<<5 {
+		t.Fatalf("bit cleared with an item still in flight: %x", sum[0])
+	}
+	if p.DrainAppend(3, nil); sum[0] != 0 {
+		t.Fatalf("bit left set on an empty pipe: %x", sum[0])
+	}
+	p.Push(3, 3)
+	if p.PopArrived(5); sum[0] != 0 {
+		t.Fatalf("PopArrived left the bit set: %x", sum[0])
 	}
 }

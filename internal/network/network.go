@@ -9,6 +9,7 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 
 	"powerpunch/internal/check"
 	"powerpunch/internal/config"
@@ -23,6 +24,7 @@ import (
 	"powerpunch/internal/scheme"
 	"powerpunch/internal/stats"
 	"powerpunch/internal/topo"
+	"powerpunch/internal/workset"
 )
 
 // Network is a complete simulated NoC.
@@ -59,10 +61,21 @@ type Network struct {
 	// so every gate/wake event is emitted at its true cycle.
 	bus *obs.Bus
 
-	// sched is the active-set tick scheduler (see sched.go); nil under
-	// Cfg.FullTick, where Step walks every node — the seed behaviour kept
-	// as the differential-testing reference.
+	// sched is the active-set tick scheduler (see sched.go). Under
+	// Cfg.FullTick it keeps every node in the set, so Step walks every
+	// node — the reference the active-set runs are differentially tested
+	// against.
 	sched *scheduler
+
+	// Work summaries (DESIGN.md §8): dense bitsets kept current by the
+	// state they summarize, so each phase walks active ∧ summary and
+	// reads neighbour state from arrays small enough for L1. holds,
+	// niBusy and pgLevel have one bit per node: the router buffers a
+	// flit, the NI may hold work (a superset of NI.Busy), the controller
+	// asserts PG. pipes has a 16-bit lane per node: bit p for the FlitOut
+	// pipe of port p, bit pipeCredit+p for the CreditOut pipe of port p,
+	// set while the pipe holds anything.
+	holds, niBusy, pgLevel, pipes []uint64
 
 	// pool recycles flit objects on the hot path. It is wired only when
 	// Cfg.Checks is off: the invariant engine's stall tracking compares
@@ -155,6 +168,7 @@ func New(cfg config.Config) (*Network, error) {
 		n.Routers = append(n.Routers, r)
 		n.NIs = append(n.NIs, ni.New(id, m, &n.Cfg, r, fab, col))
 	}
+	n.trackWork()
 
 	if pol.Bypass() {
 		// Wire the through-paths: per router and link direction, the
@@ -168,14 +182,9 @@ func New(cfg config.Config) (*Network, error) {
 		// controller state, which under the active-set scheduler may be
 		// stale for a parked node. The sync hook replays the parked
 		// controller's skipped idle cycles first, so the read sees
-		// exactly the state the full walk would have computed. The
-		// full-tick engine steps every controller every cycle, so the
-		// hook no-ops there.
-		sync := func(id mesh.NodeID) {
-			if n.sched != nil {
-				n.sched.catchUp(int32(id), n.now-1)
-			}
-		}
+		// exactly the state the full walk would have computed. The full
+		// walk keeps every controller live, so the hook no-ops there.
+		sync := func(id mesh.NodeID) { n.sched.catchUp(int32(id), n.now-1) }
 		for id, r := range n.Routers {
 			r.EnableBypass(be)
 			r.SetCtrlSync(sync)
@@ -193,15 +202,16 @@ func New(cfg config.Config) (*Network, error) {
 		}
 	}
 
-	if !cfg.FullTick {
-		n.sched = newScheduler(n)
-		for _, r := range n.Routers {
-			r.SetForwardHook(n.sched.activateNode)
-		}
-		for i, nif := range n.NIs {
-			id := int32(i)
-			nif.SetActivityHook(func() { n.sched.activate(id, false) })
-		}
+	n.sched = newScheduler(n, cfg.FullTick)
+	for _, r := range n.Routers {
+		r.SetForwardHook(n.sched.activateNode)
+	}
+	for i, nif := range n.NIs {
+		id, busy := int32(i), workset.Of(n.niBusy, i)
+		nif.SetActivityHook(func() {
+			busy.Set()
+			n.sched.activate(id, false)
+		})
 	}
 	if !cfg.Checks {
 		n.pool = flit.NewPool()
@@ -221,9 +231,7 @@ func New(cfg config.Config) (*Network, error) {
 	if cfg.Faults.DropPunchRelays && fab != nil {
 		fab.SetFaultDropRelays(true)
 	}
-	if cfg.Faults.DropRearms && n.sched != nil {
-		n.sched.dropRearms = true
-	}
+	n.sched.dropRearms = cfg.Faults.DropRearms
 	if cfg.Faults.BypassIllegalTurn {
 		for _, r := range n.Routers {
 			r.SetFaultBypassIllegalTurn(true)
@@ -244,6 +252,34 @@ func New(cfg config.Config) (*Network, error) {
 		}
 	}
 	return n, nil
+}
+
+// pipeCredit is the offset of the CreditOut bits in a node's pipes lane.
+const pipeCredit = 8
+
+// pipeBit returns the index in Network.pipes of node i's bit b.
+func pipeBit(i, b int) int { return 16*i + b }
+
+// pipeLane returns node i's 16-bit lane of Network.pipes.
+func (n *Network) pipeLane(i int) uint16 { return uint16(n.pipes[i>>2] >> (16 * (i & 3))) }
+
+// trackWork allocates the work summaries and hands each router, pipe
+// and controller its bit. NIs set their niBusy bit through the activity
+// hook installed with the scheduler.
+func (n *Network) trackWork() {
+	nodes := len(n.Routers)
+	w := (nodes + 63) / 64
+	sum := make([]uint64, 3*w+(nodes+3)/4)
+	n.holds, n.niBusy, n.pgLevel, n.pipes = sum[:w:w], sum[w:2*w:2*w], sum[2*w:3*w:3*w], sum[3*w:]
+	for i, r := range n.Routers {
+		r.TrackHolds(workset.Of(n.holds, i))
+		r.Ctrl.TrackLevel(workset.Of(n.pgLevel, i))
+		for p := 0; p < mesh.NumPorts; p++ {
+			d := mesh.Direction(p)
+			r.Out(d).FlitOut.Track(workset.Of(n.pipes, pipeBit(i, p)))
+			r.In(d).CreditOut.Track(workset.Of(n.pipes, pipeBit(i, pipeCredit+p)))
+		}
+	}
 }
 
 // Close does nothing: a network holds no goroutines or other resources
@@ -306,95 +342,20 @@ func (n *Network) NewPacket(src, dst mesh.NodeID, vn flit.VirtualNetwork, kind f
 // the previous cycle first so their deferred static charges land under
 // the flag that was in force when the cycles elapsed.
 func (n *Network) SetAccounting(v bool) {
-	if n.sched != nil {
-		n.sched.syncAll(n.now - 1)
-	}
+	n.sched.syncAll(n.now - 1)
 	n.Acct.SetEnabled(v)
 }
 
-// Step advances the network one cycle: the full walk under Cfg.FullTick,
-// the active-set path otherwise. Both paths are bit-identical.
+// Step advances the network one cycle. Each phase iterates only the
+// nodes that can change state this cycle: the active set (all nodes
+// under Cfg.FullTick) intersected with the phase's work summary, since
+// every call it skips is a no-op. Newly-armed nodes join at the flush
+// points below, always before the first phase whose behaviour for them
+// would differ from a no-op; every phase iterates in ascending node
+// order, so the operation sequence — including floating-point
+// accumulation order — matches the walk over every node with its no-op
+// calls deleted.
 func (n *Network) Step() {
-	if n.sched == nil {
-		n.stepFull()
-	} else {
-		n.stepActive()
-	}
-}
-
-// stepFull is the seed tick: every node walks every phase every cycle.
-// Kept as the differential-testing reference for the active-set path.
-func (n *Network) stepFull() {
-	now := n.now
-	if n.bus != nil {
-		n.bus.SetNow(now)
-	}
-
-	// 1. Deliver everything arriving this cycle (latched from earlier).
-	for _, r := range n.Routers {
-		n.deliverNode(r, now)
-	}
-
-	// 2. NI signalling: move announced messages along, emit injection-
-	//    node punches (PowerPunch-PG slacks 1 and 2).
-	for _, nif := range n.NIs {
-		nif.StepSignals(now)
-	}
-
-	// 3. Punch fabric: resident packets assert their punches; the fabric
-	//    merges, holds, and relays (one link per cycle).
-	if n.Fabric != nil {
-		for _, r := range n.Routers {
-			r.EmitPunches(n.Fabric)
-		}
-		n.Fabric.Step()
-	}
-
-	// 4. Mask outputs whose downstream router asserts PG.
-	for _, r := range n.Routers {
-		n.maskBlocked(r)
-	}
-
-	// 5. Router pipelines (ST then VA inside each router).
-	for _, r := range n.Routers {
-		r.Step(now)
-	}
-
-	// 6. NI injection (at most one flit per node per cycle).
-	for _, nif := range n.NIs {
-		nif.StepInject(now)
-	}
-
-	// 7. Power-gating controllers observe this cycle's levels and step.
-	n.stepControllers(now)
-
-	// 8. Power accounting.
-	for i, r := range n.Routers {
-		n.Acct.TickStatic(i, routerPowerState(r.Ctrl))
-	}
-	n.Acct.TickCycle()
-
-	// 9. Invariant engine (only when Cfg.Checks is set).
-	if n.Checker != nil {
-		if v := n.Checker.EndCycle(now); v != nil {
-			n.reportViolation(v)
-		}
-	}
-
-	if n.bus != nil {
-		n.bus.EndCycle()
-	}
-	n.now = now + 1
-}
-
-// stepActive is the active-set tick: the same nine phases, iterated over
-// only the nodes that can change state this cycle. Newly-armed nodes
-// join at the flush points below, always before the first phase whose
-// full-walk behaviour for them would differ from a no-op; every phase
-// iterates the set in ascending node order, so the operation sequence —
-// including floating-point accumulation order — matches the full walk
-// with its no-op nodes deleted.
-func (n *Network) stepActive() {
 	now := n.now
 	s := n.sched
 	if n.bus != nil {
@@ -404,25 +365,25 @@ func (n *Network) stepActive() {
 	// Arm nodes the driver submitted work to since the last cycle.
 	s.flush(now)
 
-	// 1. Deliver. Parked nodes own no non-empty pipes (quiescence drains
-	//    them first), so skipping them delivers everything.
-	for i := s.next(0); i != -1; i = s.next(i + 1) {
-		n.deliverNode(n.Routers[i], now)
-	}
+	// 1. Deliver everything arriving this cycle (latched from earlier).
+	n.deliver(now)
 	// Ejection Deliver callbacks may have submitted follow-up work.
 	s.flush(now)
 
-	// 2. NI signalling (a parked NI holds no work: nothing to signal).
-	for i := s.next(0); i != -1; i = s.next(i + 1) {
+	// 2. NI signalling: move announced messages along, emit injection-
+	//    node punches (PowerPunch-PG slacks 1 and 2). An idle NI has
+	//    nothing to signal.
+	for i := s.nextIn(n.niBusy, 0); i != -1; i = s.nextIn(n.niBusy, i+1) {
 		n.NIs[i].StepSignals(now)
 	}
 
-	// 3. Punch fabric. Parked routers are empty and emit nothing; the
-	//    fabric itself is skipped once no emission, inbound target, or
-	//    hold remains. Nodes held by a punch must observe it in phase 7,
-	//    so they join the set now.
+	// 3. Punch fabric: resident packets assert their punches (an empty
+	//    router emits nothing); the fabric merges, holds, and relays (one
+	//    link per cycle), and is skipped once no emission, inbound
+	//    target, or hold remains. Nodes held by a punch must observe it
+	//    in phase 7, so they join the set now.
 	if n.Fabric != nil {
-		for i := s.next(0); i != -1; i = s.next(i + 1) {
+		for i := s.nextIn(n.holds, 0); i != -1; i = s.nextIn(n.holds, i+1) {
 			n.Routers[i].EmitPunches(n.Fabric)
 		}
 		if n.Fabric.NeedsStep() {
@@ -434,29 +395,37 @@ func (n *Network) stepActive() {
 		}
 	}
 
-	// 4. Mask outputs whose downstream router asserts PG. A parked
-	//    node's stale masks are unobservable: it is empty, so its switch
-	//    allocator runs no grants until after it re-arms — and then this
-	//    phase has refreshed the masks first.
-	for i := s.next(0); i != -1; i = s.next(i + 1) {
-		n.maskBlocked(n.Routers[i])
+	// 4. Mask outputs whose downstream router asserts PG. Only the switch
+	//    allocator of a router holding flits reads the masks, and nothing
+	//    between here and phase 5 buffers a flit, so an empty router's
+	//    stale masks are unobservable: it is masked again before it next
+	//    holds a flit in phase 5.
+	for i := s.nextIn(n.holds, 0); i != -1; i = s.nextIn(n.holds, i+1) {
+		n.maskBlocked(i)
 	}
 
-	// 5. Router pipelines (empty parked routers would no-op).
-	for i := s.next(0); i != -1; i = s.next(i + 1) {
+	// 5. Router pipelines (ST then VA inside each router; an empty
+	//    router's Step returns at once).
+	for i := s.nextIn(n.holds, 0); i != -1; i = s.nextIn(n.holds, i+1) {
 		n.Routers[i].Step(now)
 	}
 
-	// 6. NI injection. Receivers of freshly-pushed flits were armed by
-	//    the forward hook; flush so they live through phases 7-8 of this
-	//    cycle exactly as the full walk would step them.
-	for i := s.next(0); i != -1; i = s.next(i + 1) {
-		n.NIs[i].StepInject(now)
+	// 6. NI injection (at most one flit per node per cycle). An NI found
+	//    idle afterwards leaves niBusy until the activity hook sets it
+	//    again. Receivers of freshly-pushed flits were armed by the
+	//    forward hook; flush so they live through phases 7-8.
+	for i := s.nextIn(n.niBusy, 0); i != -1; i = s.nextIn(n.niBusy, i+1) {
+		nif := n.NIs[i]
+		nif.StepInject(now)
+		if !nif.Busy() {
+			workset.Of(n.niBusy, int(i)).Clear()
+		}
 	}
 	s.flush(now)
 
-	// 7. Power-gating controllers (arms WU-wanted neighbours itself).
-	n.stepControllersActive(now)
+	// 7. Power-gating controllers observe this cycle's levels and step
+	//    (arming WU-wanted neighbours themselves).
+	n.stepControllers(now)
 
 	// 8. Power accounting for live nodes; parked nodes accrue the same
 	//    charges in batched catch-up when they re-arm (or eagerly below
@@ -482,21 +451,18 @@ func (n *Network) stepActive() {
 	n.now = now + 1
 }
 
-// maskBlocked refreshes r's output masks from its neighbours' PG levels.
-// Under the active-set scheduler a neighbour may be retired with its
-// controller mid-evolution (idle-counting toward a gate, or waking), so
-// its FSM is caught up through the previous cycle first — the state the
-// full walk's mask phase would read. The catch-up is a no-op for live
-// neighbours and does not re-arm the dormant ones.
-func (n *Network) maskBlocked(r *router.Router) {
-	s := n.sched
+// maskBlocked refreshes router i's output masks from its neighbours' PG
+// levels. A neighbour may be retired with its controller mid-evolution
+// (idle-counting toward a gate, or waking), so its FSM is caught up
+// through the previous cycle first — the state the full walk's mask
+// phase would read. The catch-up is a no-op for live neighbours and
+// does not re-arm the dormant ones.
+func (n *Network) maskBlocked(i int32) {
+	r := n.Routers[i]
 	for _, d := range mesh.LinkDirections {
-		op := r.Out(d)
-		if nb := op.Neighbor(); nb != mesh.Invalid {
-			if s != nil {
-				s.catchUp(int32(nb), n.now-1)
-			}
-			op.Blocked = n.Routers[nb].Ctrl.PGAsserted()
+		if nb := n.nbr[i][d]; nb != mesh.Invalid {
+			n.sched.catchUp(int32(nb), n.now-1)
+			r.Out(d).Blocked = workset.Has(n.pgLevel, int(nb))
 		}
 	}
 }
@@ -518,56 +484,71 @@ func (n *Network) reportViolation(v *check.Violation) {
 	panic(fmt.Sprintf("network: %v; %s", v, where))
 }
 
-// deliverNode drains node rr's link pipes whose contents arrive at cycle
-// `now`: its output flit pipes into the downstream routers (or its NI on
-// the Local port) and its input credit pipes back to the upstream
-// routers (or its NI). Closure-free: items are drained into reused
-// scratch buffers, keeping the per-cycle path allocation-free.
-func (n *Network) deliverNode(rr *router.Router, now int64) {
-	for p := 0; p < mesh.NumPorts; p++ {
-		d := mesh.Direction(p)
-		op := rr.Out(d)
-		if op.FlitOut.Empty() {
-			continue
-		}
-		if d == mesh.Local {
-			nif := n.NIs[rr.ID]
-			n.flitBuf = op.FlitOut.DrainAppend(now, n.flitBuf[:0])
-			for _, ft := range n.flitBuf {
-				nif.ReceiveEject(ft, now)
-			}
-			continue
-		}
-		nb := op.Neighbor()
-		if nb == mesh.Invalid {
-			continue
-		}
-		dst := n.Routers[nb]
-		from := d.Opposite()
-		n.flitBuf = op.FlitOut.DrainAppend(now, n.flitBuf[:0])
-		for _, ft := range n.flitBuf {
-			if ft.Bypass {
-				n.forwardBypass(rr, d, ft, now)
-				continue
-			}
-			dst.ReceiveFlit(from, ft.VC, ft.Flit, now)
+// deliver drains every pipe with something in flight, node by node in
+// ascending order and, within a node, its flit pipes before its credit
+// pipes, each in ascending port order. Parked nodes own no non-empty
+// pipes (quiescence drains them first), so the pipes summary alone
+// names every pipe to drain. A bypass relay may push into a pipe the
+// walk has passed or not yet reached; either way the push arrives next
+// cycle, so draining it this cycle would be a no-op.
+func (n *Network) deliver(now int64) {
+	for w, word := range n.pipes {
+		for word != 0 {
+			lo := bits.TrailingZeros64(word) &^ 15
+			n.deliverNode(w*4+lo/16, uint16(word>>lo), now)
+			word &^= 0xffff << lo
 		}
 	}
-	for p := 0; p < mesh.NumPorts; p++ {
-		d := mesh.Direction(p)
-		ip := rr.In(d)
-		if ip.CreditOut.Empty() {
+}
+
+// deliverNode drains node i's pipes named by lane (its pipes bits)
+// whose contents arrive at cycle `now`: its output flit pipes into the
+// downstream routers (or its NI on the Local port) and its input credit
+// pipes back to the upstream routers (or its NI). Closure-free: items
+// are drained into reused scratch buffers, keeping the per-cycle path
+// allocation-free.
+func (n *Network) deliverNode(i int, lane uint16, now int64) {
+	rr := n.Routers[i]
+	for ; lane != 0; lane &= lane - 1 {
+		b := bits.TrailingZeros16(lane)
+		if b < pipeCredit {
+			d := mesh.Direction(b)
+			op := rr.Out(d)
+			if d == mesh.Local {
+				nif := n.NIs[i]
+				n.flitBuf = op.FlitOut.DrainAppend(now, n.flitBuf[:0])
+				for _, ft := range n.flitBuf {
+					nif.ReceiveEject(ft, now)
+				}
+				continue
+			}
+			nb := n.nbr[i][d]
+			if nb == mesh.Invalid {
+				continue
+			}
+			dst := n.Routers[nb]
+			from := d.Opposite()
+			n.flitBuf = op.FlitOut.DrainAppend(now, n.flitBuf[:0])
+			for _, ft := range n.flitBuf {
+				if ft.Bypass {
+					n.forwardBypass(rr, d, ft, now)
+					continue
+				}
+				dst.ReceiveFlit(from, ft.VC, ft.Flit, now)
+			}
 			continue
 		}
+		d := mesh.Direction(b - pipeCredit)
+		ip := rr.In(d)
 		if d == mesh.Local {
-			nif := n.NIs[rr.ID]
+			nif := n.NIs[i]
 			n.credBuf = ip.CreditOut.DrainAppend(now, n.credBuf[:0])
 			for _, c := range n.credBuf {
 				nif.ReceiveCredit(c.VC)
 			}
 			continue
 		}
-		nb := n.nbr[rr.ID][d]
+		nb := n.nbr[i][d]
 		if nb == mesh.Invalid {
 			continue
 		}
@@ -610,70 +591,30 @@ func (n *Network) bypassHeld(i int) bool {
 	return false
 }
 
-// stepControllers computes each controller's inputs from this cycle's
-// levels and advances the gating FSMs.
+// stepControllers computes the live controllers' inputs from this
+// cycle's levels and advances their gating FSMs. A parked node's
+// contribution is provably nil: it is empty (no WU wants, cleared on
+// deactivation), its NI idle (no local WU), and its controller parked
+// (Step is a no-op for disabled, and the Gated idle tick is applied by
+// catch-up). The one coupling — a live neighbour's WU want toward a
+// parked gated router — arms that router here, before the wakeup levels
+// are read, so it wakes in the same cycle the full walk would wake it.
 func (n *Network) stepControllers(now int64) {
 	if !n.pol.Gates() {
 		return
 	}
+	s := n.sched
 	// WU levels: a router wants its neighbor awake while any resident
 	// routed packet heads there — from route-computation time under
 	// early wakeup (ConvOpt and the punch schemes), or only from
-	// switch-allocation time under the unoptimized PlainPG baseline.
-	early := n.pol.EarlyWakeup()
-	for i, r := range n.Routers {
-		if early {
-			r.WantsOutput(&n.wants[i])
-		} else {
-			r.WantsOutputAtSA(&n.wants[i], now)
-		}
-	}
-	for i, r := range n.Routers {
-		wu := n.NIs[i].WantsWakeup()
-		if !wu {
-			for _, d := range mesh.LinkDirections {
-				nb := n.nbr[r.ID][d]
-				if nb == mesh.Invalid {
-					continue
-				}
-				// Neighbor nb reaches r through its port facing r.
-				if n.wants[nb][d.Opposite()] {
-					wu = true
-					break
-				}
-			}
-		}
-		n.wakeups[i] = wu
-	}
-	for i, r := range n.Routers {
-		empty := r.Empty() && n.incomingQuiet(r)
-		hold := false
-		if n.Fabric != nil {
-			hold = n.Fabric.Hold(r.ID)
-		}
-		bhold := n.bypassOn && n.bypassHeld(i)
-		if n.wakeups[i] && n.Acct.Enabled() {
-			n.Acct.WakeupSignal(i)
-		}
-		r.Ctrl.Step(pg.Inputs{Empty: empty, Wakeup: n.wakeups[i], PunchHold: hold, BypassHold: bhold})
-	}
-}
-
-// stepControllersActive is stepControllers over the active set only. A
-// parked node's contribution to the full walk is provably nil: it is
-// empty (no WU wants, cleared on deactivation), its NI idle (no local
-// WU), and its controller parked (Step is a no-op for disabled, and the
-// Gated idle tick is applied by catch-up). The one coupling — an active
-// neighbour's WU want toward a parked gated router — arms that router
-// here, before the wakeup levels are read, so it wakes in the same cycle
-// the full walk would wake it.
-func (n *Network) stepControllersActive(now int64) {
-	if !n.pol.Gates() {
-		return
-	}
-	s := n.sched
+	// switch-allocation time under the unoptimized PlainPG baseline. An
+	// empty router wants nothing, so its wants are zeroed untouched.
 	early := n.pol.EarlyWakeup()
 	for i := s.next(0); i != -1; i = s.next(i + 1) {
+		if !workset.Has(n.holds, int(i)) {
+			n.wants[i] = [mesh.NumPorts]bool{}
+			continue
+		}
 		r := n.Routers[i]
 		if early {
 			r.WantsOutput(&n.wants[i])
@@ -683,9 +624,6 @@ func (n *Network) stepControllersActive(now int64) {
 		// Arm every wanted neighbour: it must observe the WU level this
 		// cycle. (Arming is deferred to the flush below, so this pass
 		// still iterates the pre-arm set.)
-		if r.Empty() {
-			continue
-		}
 		for _, d := range mesh.LinkDirections {
 			if n.wants[i][d] {
 				if nb := n.nbr[i][d]; nb != mesh.Invalid {
@@ -696,13 +634,15 @@ func (n *Network) stepControllersActive(now int64) {
 	}
 	s.flush(now)
 	for i := s.next(0); i != -1; i = s.next(i + 1) {
-		wu := n.NIs[i].WantsWakeup()
+		// Only a busy NI can want its router awake.
+		wu := workset.Has(n.niBusy, int(i)) && n.NIs[i].WantsWakeup()
 		if !wu {
 			for _, d := range mesh.LinkDirections {
 				nb := n.nbr[i][d]
 				if nb == mesh.Invalid {
 					continue
 				}
+				// Neighbor nb reaches i through its port facing i.
 				if n.wants[nb][d.Opposite()] {
 					wu = true
 					break
@@ -712,22 +652,21 @@ func (n *Network) stepControllersActive(now int64) {
 		n.wakeups[i] = wu
 	}
 	for i := s.next(0); i != -1; i = s.next(i + 1) {
-		r := n.Routers[i]
-		empty := r.Empty() && n.incomingQuiet(r)
+		empty := !workset.Has(n.holds, int(i)) && n.incomingQuiet(i)
 		hold := false
 		if n.Fabric != nil {
-			hold = n.Fabric.Hold(r.ID)
+			hold = n.Fabric.Hold(mesh.NodeID(i))
 		}
 		bhold := n.bypassOn && n.bypassHeld(int(i))
 		if n.wakeups[i] && n.Acct.Enabled() {
 			n.Acct.WakeupSignal(int(i))
 		}
-		r.Ctrl.Step(pg.Inputs{Empty: empty, Wakeup: n.wakeups[i], PunchHold: hold, BypassHold: bhold})
+		n.Routers[i].Ctrl.Step(pg.Inputs{Empty: empty, Wakeup: n.wakeups[i], PunchHold: hold, BypassHold: bhold})
 	}
 }
 
-// incomingQuiet reports that no flit is in flight toward router r (its
-// neighbors' output pipes facing r are empty). Together with the >= 2
+// incomingQuiet reports that no flit is in flight toward node i (its
+// neighbors' output pipes facing i are empty). Together with the >= 2
 // cycle idle timeout this guarantees gating never strands a flit.
 //
 // Under a bypass scheme a second, two-hop condition applies: a stream
@@ -736,13 +675,13 @@ func (n *Network) stepControllersActive(now int64) {
 // flits coming — the landing router must stay up (and un-gated) for
 // the stream's whole lifetime, including cycles when the stream is
 // stalled upstream with nothing physically in flight.
-func (n *Network) incomingQuiet(r *router.Router) bool {
+func (n *Network) incomingQuiet(i int32) bool {
 	for _, d := range mesh.LinkDirections {
-		nb := n.nbr[r.ID][d]
+		nb := n.nbr[i][d]
 		if nb == mesh.Invalid {
 			continue
 		}
-		if !n.Routers[nb].Out(d.Opposite()).FlitOut.Empty() {
+		if workset.Has(n.pipes, pipeBit(int(nb), int(d.Opposite()))) {
 			return false
 		}
 		if n.bypassOn {
@@ -768,18 +707,19 @@ func routerPowerState(c *pg.Controller) power.RouterState {
 // Quiesced reports whether no packet or flit remains anywhere in the
 // network or its NIs.
 func (n *Network) Quiesced() bool {
-	for _, r := range n.Routers {
-		if !r.Empty() {
+	for _, w := range n.holds {
+		if w != 0 {
 			return false
 		}
-		for p := 0; p < mesh.NumPorts; p++ {
-			if !r.Out(mesh.Direction(p)).FlitOut.Empty() {
-				return false
-			}
+	}
+	const flitPipes = (1<<mesh.NumPorts - 1) * 0x0001_0001_0001_0001 // the FlitOut bits of a word's four lanes
+	for _, w := range n.pipes {
+		if w&flitPipes != 0 {
+			return false
 		}
 	}
-	for _, nif := range n.NIs {
-		if nif.Busy() {
+	for i := workset.Next(n.niBusy, 0); i != -1; i = workset.Next(n.niBusy, i+1) {
+		if n.NIs[i].Busy() {
 			return false
 		}
 	}
@@ -792,9 +732,7 @@ func (n *Network) Quiesced() bool {
 // what the full walk would hold. A no-op under Cfg.FullTick; it never
 // re-arms a node.
 func (n *Network) SyncInspection() {
-	if n.sched != nil {
-		n.sched.syncAll(n.now - 1)
-	}
+	n.sched.syncAll(n.now - 1)
 }
 
 // GatedRouterCount returns the number of routers currently gated off.
@@ -816,7 +754,10 @@ func (n *Network) GatedRouterCount() int {
 //  1. a gated or waking router holds no flits (gating requires empty);
 //  2. credit conservation on every inter-router link: for each VC,
 //     available credits + downstream buffer occupancy + flits on the
-//     wire + credits on the reverse wire == buffer depth.
+//     wire + credits on the reverse wire == buffer depth;
+//  3. the work summaries match the objects they summarize: holds is
+//     !Empty, each pipes bit is its pipe's !Empty, pgLevel is
+//     PGAsserted, and niBusy covers every busy NI.
 func (n *Network) CheckInvariants() {
 	n.SyncInspection()
 	for _, r := range n.Routers {
@@ -825,6 +766,7 @@ func (n *Network) CheckInvariants() {
 				r.ID, r.Ctrl.State(), r.BufferedFlits()))
 		}
 	}
+	n.checkWorkSets()
 	perVN := n.Cfg.VCsPerVN()
 	for _, a := range n.Routers {
 		for _, d := range mesh.LinkDirections {
@@ -866,6 +808,34 @@ func (n *Network) CheckInvariants() {
 					panic(fmt.Sprintf("network: credit leak on %d->%d vc%d: credits=%d + buf=%d + wire=%d + thru=%d + credwire=%d != depth %d",
 						a.ID, nb, v, op.Credits(v), b.VCOccupancy(from, v), inFlightFlits, thruFlits, inFlightCredits, depth))
 				}
+			}
+		}
+	}
+}
+
+// checkWorkSets panics when a work summary bit disagrees with the state
+// it summarizes (CheckInvariants' third invariant).
+func (n *Network) checkWorkSets() {
+	stale := func(what string, id mesh.NodeID, bit bool) {
+		panic(fmt.Sprintf("network: %s bit of node %d is %v, the state it summarizes is not", what, id, bit))
+	}
+	for i, r := range n.Routers {
+		if bit := workset.Has(n.holds, i); bit == r.Empty() {
+			stale("holds", r.ID, bit)
+		}
+		if bit := workset.Has(n.pgLevel, i); bit != r.Ctrl.PGAsserted() {
+			stale("pgLevel", r.ID, bit)
+		}
+		if n.NIs[i].Busy() && !workset.Has(n.niBusy, i) {
+			stale("niBusy", r.ID, false)
+		}
+		for p := 0; p < mesh.NumPorts; p++ {
+			d := mesh.Direction(p)
+			if bit := workset.Has(n.pipes, pipeBit(i, p)); bit == r.Out(d).FlitOut.Empty() {
+				stale("FlitOut pipe "+d.String(), r.ID, bit)
+			}
+			if bit := workset.Has(n.pipes, pipeBit(i, pipeCredit+p)); bit == r.In(d).CreditOut.Empty() {
+				stale("CreditOut pipe "+d.String(), r.ID, bit)
 			}
 		}
 	}
@@ -942,9 +912,7 @@ func (n *Network) RunUntil(d Driver, maxCycles int64) RunResult {
 }
 
 func (n *Network) result(drained bool) RunResult {
-	if n.sched != nil {
-		n.sched.syncAll(n.now - 1)
-	}
+	n.sched.syncAll(n.now - 1)
 	var gatings int64
 	for _, r := range n.Routers {
 		gatings += r.Ctrl.Stats().GatingEvents

@@ -67,9 +67,7 @@ func (n *Network) Observe(sinks ...obs.Sink) {
 type syncedMeter struct{ n *Network }
 
 func (m syncedMeter) Components() power.ComponentBreakdown {
-	if m.n.sched != nil {
-		m.n.sched.syncAll(m.n.now)
-	}
+	m.n.sched.syncAll(m.n.now)
 	return m.n.Acct.Components()
 }
 

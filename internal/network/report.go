@@ -30,9 +30,7 @@ type UtilizationReport struct {
 // Report snapshots per-router statistics. Parked nodes are synced first
 // so their deferred gated-cycle counts are exact.
 func (n *Network) Report() *UtilizationReport {
-	if n.sched != nil {
-		n.sched.syncAll(n.now - 1)
-	}
+	n.sched.syncAll(n.now - 1)
 	rep := &UtilizationReport{Cycles: n.now}
 	for _, r := range n.Routers {
 		cs := r.Ctrl.Stats()

@@ -1,10 +1,9 @@
 package network
 
 import (
-	"math/bits"
-
 	"powerpunch/internal/mesh"
 	"powerpunch/internal/pg"
+	"powerpunch/internal/workset"
 )
 
 // scheduler is the active-set tick scheduler: the network's answer to the
@@ -21,7 +20,7 @@ import (
 // ascending order (the full-walk iteration order) with no sorting, and
 // arming or retiring a node is a single bit operation. Mid-cycle
 // activations go through a pending list first and join the set only at
-// the explicit flush points in stepActive, so a phase never observes a
+// the explicit flush points in Step, so a phase never observes a
 // node armed while that phase was already iterating.
 //
 // Quiescence does not require the PG controller to have finished its
@@ -43,8 +42,14 @@ import (
 // runs; the golden-metrics tests assert it. Once the replayed FSM
 // parks (disabled or Gated, both fixed points), the remaining cycles
 // collapse into the batched AdvanceIdleGated fast path.
+//
+// Under Config.FullTick the scheduler is pinned: no node ever leaves
+// the set, so every phase walks every node (intersected with its work
+// summary) and catch-up never has anything to replay. That full walk is
+// the reference the active-set runs are differentially tested against.
 type scheduler struct {
-	n *Network
+	n      *Network
+	pinned bool // Config.FullTick: never retire a node
 
 	inSet   []bool   // per node: in the set or pending (activation guard)
 	active  []uint64 // bitset over node IDs: the current active set
@@ -69,10 +74,11 @@ type scheduler struct {
 	droppedRearms int64
 }
 
-func newScheduler(n *Network) *scheduler {
+func newScheduler(n *Network, pinned bool) *scheduler {
 	nNodes := n.M.NumNodes()
 	s := &scheduler{
 		n:         n,
+		pinned:    pinned,
 		inSet:     make([]bool, nNodes),
 		active:    make([]uint64, (nNodes+63)/64),
 		pending:   make([]int32, 0, nNodes),
@@ -93,22 +99,12 @@ func newScheduler(n *Network) *scheduler {
 // next returns the smallest active node ID >= from, or -1. Ascending
 // bit order is the full-walk iteration order; every phase loops
 // `for i := s.next(0); i != -1; i = s.next(i + 1)`.
-func (s *scheduler) next(from int32) int32 {
-	w := int(from) >> 6
-	if w >= len(s.active) {
-		return -1
-	}
-	word := s.active[w] &^ (1<<(from&63) - 1)
-	for {
-		if word != 0 {
-			return int32(w<<6 + bits.TrailingZeros64(word))
-		}
-		w++
-		if w >= len(s.active) {
-			return -1
-		}
-		word = s.active[w]
-	}
+func (s *scheduler) next(from int32) int32 { return int32(workset.Next(s.active, int(from))) }
+
+// nextIn returns the smallest active node ID >= from whose bit is set in
+// the work summary set, or -1: the phases' walk over active ∧ summary.
+func (s *scheduler) nextIn(set []uint64, from int32) int32 {
+	return int32(workset.NextAnd(s.active, set, int(from)))
 }
 
 // activate arms node i. droppable marks re-arm events the DropRearms
@@ -190,14 +186,16 @@ func (s *scheduler) syncAll(through int64) {
 
 // quiescent reports whether node i can leave the active set: no flit
 // buffered, NI holding no work, nothing in flight in its outgoing flit
-// and credit pipes, and no flit in flight toward it. The PG controller's
-// state is deliberately NOT consulted: an idle-counting, draining,
-// waking, or gated FSM all evolve deterministically under the idle
-// inputs a quiescent datapath pins (catchUp replays them), and every
-// event that would change those inputs — flit push, punch hold, WU
-// want, local injection — re-arms the node before the controller could
-// observe it. A quiescent node's skipped cycles are therefore exact
-// replays of what the full walk would have computed.
+// and credit pipes, and no flit in flight toward it — all read from the
+// work summaries (niBusy is exact here: phase 6 cleared it for every
+// idle NI it stepped). The PG controller's state is deliberately NOT
+// consulted: an idle-counting, draining, waking, or gated FSM all
+// evolve deterministically under the idle inputs a quiescent datapath
+// pins (catchUp replays them), and every event that would change those
+// inputs — flit push, punch hold, WU want, local injection — re-arms
+// the node before the controller could observe it. A quiescent node's
+// skipped cycles are therefore exact replays of what the full walk
+// would have computed.
 // Nodes pinned by a level signal — a punch hold or a neighbour's WU
 // want — are kept in the set even when structurally idle: the level's
 // source would re-arm them next cycle anyway, so retiring them would
@@ -205,11 +203,10 @@ func (s *scheduler) syncAll(through int64) {
 // the idle ones catch-up replays.
 func (s *scheduler) quiescent(i int32) bool {
 	n := s.n
-	r := n.Routers[i]
-	if !r.Empty() || n.NIs[i].Busy() {
+	if workset.Has(n.holds, int(i)) || workset.Has(n.niBusy, int(i)) || n.pipeLane(int(i)) != 0 {
 		return false
 	}
-	if n.bus != nil && !r.Ctrl.Parked() {
+	if n.bus != nil && !n.Routers[i].Ctrl.Parked() {
 		// An observability bus is attached: keep the node live until its
 		// controller reaches a fixed point, so every gate/wake/active
 		// transition is emitted at its true cycle instead of being
@@ -231,13 +228,7 @@ func (s *scheduler) quiescent(i int32) bool {
 			return false
 		}
 	}
-	for p := 0; p < mesh.NumPorts; p++ {
-		d := mesh.Direction(p)
-		if !r.Out(d).FlitOut.Empty() || !r.In(d).CreditOut.Empty() {
-			return false
-		}
-	}
-	return n.incomingQuiet(r)
+	return n.incomingQuiet(i)
 }
 
 // endCycle retires quiescent nodes from the active set and marks the
@@ -248,7 +239,7 @@ func (s *scheduler) endCycle(now int64) {
 	for i := s.next(0); i != -1; i = s.next(i + 1) {
 		s.nodeSteps[i]++
 		s.syncedTo[i] = now
-		if s.quiescent(i) {
+		if !s.pinned && s.quiescent(i) {
 			s.inSet[i] = false
 			s.active[i>>6] &^= 1 << (i & 63)
 			s.n.wants[i] = [mesh.NumPorts]bool{}
@@ -270,19 +261,14 @@ func (s *scheduler) empty() bool {
 }
 
 // NodeSteps returns the number of cycles node id spent in the active set
-// (under FullTick every node steps every cycle, so Now() is returned).
-func (n *Network) NodeSteps(id mesh.NodeID) int64 {
-	if n.sched == nil {
-		return n.now
-	}
-	return n.sched.nodeSteps[id]
-}
+// (under FullTick every node steps every cycle, so Now()).
+func (n *Network) NodeSteps(id mesh.NodeID) int64 { return n.sched.nodeSteps[id] }
 
 // ActiveNodes returns a snapshot of the active set (armed-but-pending
 // nodes included) in ascending order; nil under FullTick, where the
 // concept does not apply.
 func (n *Network) ActiveNodes() []mesh.NodeID {
-	if n.sched == nil {
+	if n.sched.pinned {
 		return nil
 	}
 	s := n.sched
@@ -297,9 +283,4 @@ func (n *Network) ActiveNodes() []mesh.NodeID {
 
 // DroppedRearms returns the number of re-arm events discarded by the
 // DropRearms fault.
-func (n *Network) DroppedRearms() int64 {
-	if n.sched == nil {
-		return 0
-	}
-	return n.sched.droppedRearms
-}
+func (n *Network) DroppedRearms() int64 { return n.sched.droppedRearms }

@@ -76,15 +76,14 @@ type NI struct {
 
 	// recycle enables returning ejected packets to the pool's packet
 	// free list (config.RecyclePackets). Only honoured when Deliver is
-	// nil: delivered packets are owned by the protocol handler.
-	recycle bool
+	// nil: delivered packets are owned by the protocol handler. niSlack
+	// caches the policy's NISlack predicate, resolved once at
+	// construction (Section 4.2 injection-node signalling). The two
+	// share a word.
+	recycle, niSlack bool
 
 	// bus, when non-nil, receives inject/eject/NI-block events.
 	bus *obs.Bus
-
-	// niSlack caches the policy's NISlack predicate, resolved once at
-	// construction (Section 4.2 injection-node signalling).
-	niSlack bool
 
 	asm [][]*flit.Flit // ejection reassembly per local-output VC
 

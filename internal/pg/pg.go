@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"powerpunch/internal/obs"
+	"powerpunch/internal/workset"
 )
 
 // State is the gating FSM state.
@@ -83,6 +84,15 @@ type Stats struct {
 // unusable; use New.
 type Controller struct {
 	enabled bool
+	// adaptive enables the throttle extension (off by default): when the
+	// recent average gated-period length falls below the break-even
+	// time, gating is counter-productive churn, so the controller backs
+	// off for a while. See SetAdaptiveThrottle.
+	adaptive bool
+	// faultIgnoreWakeups is a deliberate defect for invariant-engine
+	// tests; see SetFaultIgnoreWakeups.
+	faultIgnoreWakeups bool
+
 	timeout int // idle cycles before gating (>= 2)
 	wakeup  int // Twakeup
 
@@ -92,20 +102,16 @@ type Controller struct {
 	gatedFor  int64 // cycles in current gated period
 	breakEven int64
 
-	// Adaptive throttle (extension, off by default): when the recent
-	// average gated-period length falls below the break-even time,
-	// gating is counter-productive churn, so the controller backs off
-	// for a while. See SetAdaptiveThrottle.
-	adaptive     bool
+	// Adaptive throttle state.
 	gatedEWMA    float64
 	ewmaSamples  int
 	throttleLeft int64
 
 	stats Stats
 
-	// faultIgnoreWakeups is a deliberate defect for invariant-engine
-	// tests; see SetFaultIgnoreWakeups.
-	faultIgnoreWakeups bool
+	// level mirrors PGAsserted into the network's pgLevel summary; see
+	// TrackLevel.
+	level workset.Bit
 
 	// onGate/onWake are optional energy-accounting callbacks.
 	onGate func()
@@ -181,6 +187,15 @@ func (c *Controller) State() State { return c.state }
 // (Active or Draining).
 func (c *Controller) IsOn() bool { return c.state == Active || c.state == Draining }
 
+// TrackLevel makes b the controller's PG-level bit: every state change
+// writes PGAsserted into it, so Step, the active-set scheduler's
+// catch-up and ForceWake all keep it current. It is written at once
+// from the current state.
+func (c *Controller) TrackLevel(b workset.Bit) {
+	c.level = b
+	b.Put(c.PGAsserted())
+}
+
 // PGAsserted reports whether the PG (unavailable) signal is asserted to
 // neighbors: true while Gated or Waking, matching the paper's handshake
 // ("the packet is stalled ... until router A is fully awoken and the PG
@@ -216,22 +231,22 @@ func (c *Controller) Step(in Inputs) {
 	switch c.state {
 	case Active, Draining:
 		if !in.Empty || in.Wakeup || in.PunchHold {
-			c.state = Active
+			c.setState(Active)
 			c.idleCnt = 0
 			return
 		}
 		c.idleCnt++
 		if c.idleCnt < c.timeout {
-			c.state = Draining
+			c.setState(Draining)
 			return
 		}
 		if c.adaptive && c.throttleLeft > 0 {
-			c.state = Draining // back-off: recent gatings were churn
+			c.setState(Draining) // back-off: recent gatings were churn
 			c.stats.SleepsBlocked++
 			return
 		}
 		// Timeout expired with a quiet datapath: gate off.
-		c.state = Gated
+		c.setState(Gated)
 		c.idleCnt = 0
 		c.gatedFor = 0
 		if c.onGate != nil {
@@ -261,7 +276,7 @@ func (c *Controller) Step(in Inputs) {
 		}
 		c.wakeCnt--
 		if c.wakeCnt <= 0 {
-			c.state = Active
+			c.setState(Active)
 			c.idleCnt = 0
 			if c.bus != nil {
 				c.activeSince = c.bus.Now()
@@ -271,8 +286,14 @@ func (c *Controller) Step(in Inputs) {
 	}
 }
 
+// setState moves the FSM to s and writes the PG level it implies.
+func (c *Controller) setState(s State) {
+	c.state = s
+	c.level.Put(s == Gated || s == Waking)
+}
+
 func (c *Controller) beginWake(punch bool) {
-	c.state = Waking
+	c.setState(Waking)
 	// The WU was observed this cycle (counted Gated); wakeup-1 further
 	// Waking cycles make the router usable exactly Twakeup cycles after
 	// the WU assertion.
@@ -348,8 +369,9 @@ func (c *Controller) AdvanceIdleGated(n int64) {
 // against a real failure; see config.Faults.
 func (c *Controller) SetFaultIgnoreWakeups(v bool) { c.faultIgnoreWakeups = v }
 
-// ForceWake immediately begins waking a gated router (used by tests and
-// by drain logic at the end of a simulation).
+// ForceWake immediately begins waking a gated router, as a WU level
+// would, but without one. Only the controller's own tests call it; no
+// simulator path uses it.
 func (c *Controller) ForceWake() {
 	if c.state == Gated {
 		c.beginWake(false)

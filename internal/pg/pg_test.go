@@ -3,6 +3,8 @@ package pg
 import (
 	"testing"
 	"testing/quick"
+
+	"powerpunch/internal/workset"
 )
 
 // idle is the all-clear input.
@@ -149,11 +151,26 @@ func TestLongGatingNotShort(t *testing.T) {
 }
 
 func TestForceWake(t *testing.T) {
+	// The controller keeps bit 67 of a two-word summary at PGAsserted.
+	level := make([]uint64, 2)
 	c := newCtl()
+	c.TrackLevel(workset.Of(level, 67))
 	gate(c)
+	if !workset.Has(level, 67) {
+		t.Fatal("gated controller left its pgLevel bit clear")
+	}
 	c.ForceWake()
 	if c.State() != Waking {
 		t.Errorf("ForceWake: %v", c.State())
+	}
+	if !workset.Has(level, 67) {
+		t.Error("ForceWake cleared the pgLevel bit of a waking router")
+	}
+	for i := 1; i < 8; i++ {
+		c.Step(idle)
+	}
+	if c.State() != Active || level[0] != 0 || level[1] != 0 {
+		t.Errorf("woken router: state %v, pgLevel words %x", c.State(), level)
 	}
 	c2 := newCtl()
 	c2.ForceWake() // no-op when active

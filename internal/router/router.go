@@ -20,6 +20,7 @@ import (
 	"powerpunch/internal/power"
 	"powerpunch/internal/scheme"
 	"powerpunch/internal/topo"
+	"powerpunch/internal/workset"
 )
 
 // Credit is the upstream flow-control token: one buffer slot freed in
@@ -98,8 +99,8 @@ type OutputPort struct {
 	neighbor mesh.NodeID // Invalid for Local and mesh edges
 	// FlitOut carries flits to the downstream input port (or NI).
 	FlitOut *link.Pipe[FlitInTransit]
-	credits []int
-	owner   []int // per downstream VC: global input-VC key, or -1
+	credits []int32
+	owner   []int32 // per downstream VC: global input-VC key, or -1
 	// Blocked is set by the network each cycle when the downstream
 	// router asserts PG (gated or waking): the switch allocator masks
 	// this output.
@@ -110,31 +111,39 @@ type OutputPort struct {
 func (op *OutputPort) Neighbor() mesh.NodeID { return op.neighbor }
 
 // Credits returns the available credit count for downstream VC v.
-func (op *OutputPort) Credits(v int) int { return op.credits[v] }
+func (op *OutputPort) Credits(v int) int { return int(op.credits[v]) }
 
 // Owner returns the arbitration key (see Router.ForEachVC) of the input
 // VC holding downstream VC v of this output port, or -1 when free.
-func (op *OutputPort) Owner(v int) int { return op.owner[v] }
+func (op *OutputPort) Owner(v int) int { return int(op.owner[v]) }
 
 // Router is one fabric router. Step, EmitPunches, and the
 // stall-accounting walk touch only this router's own state; cross-router
 // effects travel exclusively through the output pipes and credit
 // queues, drained by the network's delivery phase.
 type Router struct {
-	ID   mesh.NodeID
-	cfg  *config.Config
-	rf   *topo.RoutingFunction
-	Ctrl *pg.Controller
+	ID mesh.NodeID
+	// classes is the number of dateline VC classes of the routing
+	// function (1 or 2); bypassOn and faultBypassIllegalTurn are
+	// described with the bypass wiring below. The three share one word.
+	classes                int32
+	bypassOn               bool
+	faultBypassIllegalTurn bool
+	cfg                    *config.Config
+	rf                     *topo.RoutingFunction
+	Ctrl                   *pg.Controller
 
 	in   [mesh.NumPorts]*InputPort
 	out  [mesh.NumPorts]*OutputPort
 	acct *power.Accountant
 
 	numVCs   int // per port
-	classes  int // dateline VC classes of the routing function (1 or 2)
 	buffered int // total flits buffered (fast idle check)
 	swRR     [mesh.NumPorts]int
 	trouter  int64
+
+	// holds is set while buffered > 0 (see TrackHolds).
+	holds workset.Bit
 
 	// vcs is the key-indexed VC table: vcs[vcKey(p, i)] is VC i of input
 	// port p, so no stage divides a key back into (port, VC).
@@ -178,7 +187,10 @@ type Router struct {
 	// landing router's input VC space), nbrCtrl the flown-over
 	// neighbor's controller, thruCtrl/thruNbr the landing router two
 	// hops out. All nil/Invalid where the through-path leaves the
-	// fabric (mesh edges).
+	// fabric (mesh edges). bypassOn (in the first word) enables all of
+	// it, and faultBypassIllegalTurn is a deliberate defect: bypass
+	// admission skips the straight-through routing check (see
+	// config.Faults).
 	//
 	// Concurrency note: tryBypassGrant writes thruOut's owner/credit
 	// arrays from this router's pipeline phase. That is safe because a
@@ -187,17 +199,12 @@ type Router struct {
 	// the stream's tail clears the first link — its own pipeline never
 	// runs concurrently. Each (neighbor, direction) pair has exactly
 	// one upstream router, so two senders never share a thruOut port.
-	bypassOn      bool
 	bypassEnergy  scheme.BypassEnergy
 	thruOut       [mesh.NumPorts]*OutputPort
 	nbrCtrl       [mesh.NumPorts]*pg.Controller
 	thruCtrl      [mesh.NumPorts]*pg.Controller
 	thruNbr       [mesh.NumPorts]mesh.NodeID
 	bypassStreams [mesh.NumPorts]int
-
-	// faultBypassIllegalTurn is a deliberate defect: bypass admission
-	// skips the straight-through routing check (see config.Faults).
-	faultBypassIllegalTurn bool
 
 	// ctrlSync, when set, is invoked with a neighbor's ID immediately
 	// before this router reads that neighbor's PG controller state for
@@ -225,7 +232,7 @@ func New(id mesh.NodeID, rf *topo.RoutingFunction, cfg *config.Config, ctrl *pg.
 		Ctrl:    ctrl,
 		acct:    acct,
 		numVCs:  numVCs,
-		classes: rf.VCClasses(),
+		classes: int32(rf.VCClasses()),
 		trouter: int64(cfg.RouterCycles()),
 	}
 	// One allocation for all eight bitsets: on a 64x64 fabric per-set
@@ -266,12 +273,15 @@ func New(id mesh.NodeID, rf *topo.RoutingFunction, cfg *config.Config, ctrl *pg.
 		}
 		r.in[p] = ip
 
+		// credits and owner are int32s in one allocation: on a 64x64
+		// fabric that pays for the pipes' occupancy bits.
+		co := make([]int32, 2*numVCs)
 		op := &OutputPort{
 			dir:      dir,
 			neighbor: mesh.Invalid,
 			FlitOut:  link.NewPipe[FlitInTransit](cfg.LinkLatency),
-			credits:  make([]int, numVCs),
-			owner:    make([]int, numVCs),
+			credits:  co[:numVCs:numVCs],
+			owner:    co[numVCs:],
 		}
 		if dir != mesh.Local {
 			op.neighbor = rf.Topology().Neighbor(id, dir)
@@ -282,7 +292,7 @@ func New(id mesh.NodeID, rf *topo.RoutingFunction, cfg *config.Config, ctrl *pg.
 				// always sink for protocol deadlock freedom).
 				op.credits[v] = 1 << 30
 			} else {
-				op.credits[v] = cfg.VCDepth(v % cfg.VCsPerVN())
+				op.credits[v] = int32(cfg.VCDepth(v % cfg.VCsPerVN()))
 			}
 			op.owner[v] = -1
 		}
@@ -306,6 +316,14 @@ func (r *Router) BufferedFlits() int { return r.buffered }
 // Empty reports whether the router datapath holds no flits.
 func (r *Router) Empty() bool { return r.buffered == 0 }
 
+// TrackHolds makes b the router's holds bit: set while the router
+// buffers at least one flit, written when the count leaves or returns
+// to zero. It is written at once from the current contents.
+func (r *Router) TrackHolds(b workset.Bit) {
+	r.holds = b
+	b.Put(r.buffered > 0)
+}
+
 // ReceiveFlit writes an arriving flit into input port side d, virtual
 // channel vcIdx (the VC the upstream allocator chose). The caller
 // guarantees buffer space (credit-based flow control).
@@ -321,6 +339,9 @@ func (r *Router) ReceiveFlit(d mesh.Direction, vcIdx int, f *flit.Flit, now int6
 	}
 	v.count++
 	setBit(r.occ, int(v.key))
+	if r.buffered == 0 {
+		r.holds.Set()
+	}
 	r.buffered++
 	if r.acct != nil {
 		r.acct.BufferWrite(int(r.ID))
@@ -456,7 +477,9 @@ func (r *Router) popFront(v *vc) *flit.Flit {
 	if v.count--; v.count == 0 {
 		clearBit(r.occ, int(v.key))
 	}
-	r.buffered--
+	if r.buffered--; r.buffered == 0 {
+		r.holds.Clear()
+	}
 	return out
 }
 
@@ -785,7 +808,7 @@ func (r *Router) claimVC(op *OutputPort, at mesh.NodeID, pkt *flit.Packet, owner
 	try := func(lo, hi int) (int, bool) {
 		for v := base + lo; v < base+hi; v++ {
 			if op.owner[v] == -1 && (!needCredit || op.credits[v] > 0) {
-				op.owner[v] = owner
+				op.owner[v] = int32(owner)
 				return v, true
 			}
 		}
