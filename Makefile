@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race soak soak-obs soak-cmp soak-serve api apicheck check fuzz clean bench bench-check bench-test
+.PHONY: build test vet race soak soak-obs soak-cmp soak-serve api apicheck check fuzz fuzz-engines clean bench bench-check bench-test
 
 build:
 	$(GO) build ./...
@@ -143,6 +143,14 @@ fuzz:
 	$(GO) test ./internal/core/ -run FuzzFabricMatchesDense -fuzz FuzzFabricMatchesDense -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/serve/ -run FuzzJobSpec -fuzz FuzzJobSpec -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/network/ -run FuzzConfig -fuzz FuzzConfig -fuzztime $(FUZZTIME)
+
+# The engine differential alone: FuzzNetworkEndToEnd runs every fuzzed
+# workload on the active-set and the full-walk tick engines with the
+# invariant engine on every cycle and requires identical ejection
+# cycles and results. It is the check behind the scheduler's
+# retire-only-when-parked rule (DESIGN.md §8).
+fuzz-engines:
+	$(GO) test ./internal/traffic/ -run FuzzNetworkEndToEnd -fuzz FuzzNetworkEndToEnd -fuzztime $(FUZZTIME)
 
 clean:
 	$(GO) clean ./...

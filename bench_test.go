@@ -400,8 +400,8 @@ func BenchmarkTickFullWalk(b *testing.B) {
 
 // BenchmarkTickFlyOver locks the bypass scheme's per-cycle cost into
 // the baseline: FlyOver-PG at every locked load point on the 8x8 mesh
-// (active-set and full-walk — the bypass admission probes and the
-// ctrlSync catch-up only exist on these paths) plus the 4x4 torus,
+// (active-set and full-walk — the bypass admission probes only exist
+// on these paths) plus the 4x4 torus,
 // whose dateline classes the landing-VC allocation must consult. The
 // committed rows pin allocs/op at exactly 0, same as every other
 // scheme's hot path.

@@ -54,7 +54,6 @@ func RunHeatmap(scheme config.Scheme, f Fidelity, seed int64) (*HeatmapResult, e
 		net.Step()
 		if net.Now() > warmEnd {
 			cycles++
-			net.SyncInspection() // retired routers' FSMs are replayed lazily
 			for i, r := range net.Routers {
 				if r.Ctrl.State() == pg.Gated {
 					gated[i]++

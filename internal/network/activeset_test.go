@@ -41,13 +41,12 @@ func snapshotNodeSteps(n *Network) []int64 {
 }
 
 // TestIdleNetworkGatesAndDrainsAtExactCycle pins the idle-timer expiry
-// path with empty buffers: a fresh network with no traffic retires every
-// node after exactly ONE stepped cycle — the scheduler does not babysit
-// a deterministic idle countdown — yet the lazily-replayed controllers
-// still reach Draining and Gated at exactly the cycles the full walk
-// would: Draining through cycle timeout-1, Gated from cycle timeout.
-// ConvOpt uses the long (break-even-oriented) filter, the punch schemes
-// the 2-cycle minimum.
+// path with empty buffers: in a fresh network with no traffic every
+// controller is Draining through cycle timeout-1 and Gated from cycle
+// timeout, and every node stays in the active set until its controller
+// parks: it steps exactly timeout cycles and retires in the cycle it
+// gates. ConvOpt uses the long (break-even-oriented) filter, the punch
+// schemes the 2-cycle minimum.
 func TestIdleNetworkGatesAndDrainsAtExactCycle(t *testing.T) {
 	cases := []struct {
 		scheme  config.Scheme
@@ -63,37 +62,35 @@ func TestIdleNetworkGatesAndDrainsAtExactCycle(t *testing.T) {
 			n := mustNew(t, cfg)
 			timeout := tc.timeout(cfg)
 
-			// The first cycle steps all nodes once; with nothing buffered
-			// and no levels asserted, every node retires that same cycle.
-			n.Step()
-			if got := len(n.ActiveNodes()); got != 0 {
-				t.Fatalf("cycle 1: want empty active set, got %v", n.ActiveNodes())
-			}
-
-			// One cycle before the timeout, the (replayed) FSMs are still
-			// Draining...
-			for i := 1; i < timeout-1; i++ {
+			// One cycle before the timeout, the FSMs are still Draining
+			// and every node is still live...
+			for i := 0; i < timeout-1; i++ {
 				n.Step()
 			}
-			n.SyncInspection()
 			for _, r := range n.Routers {
 				if s := r.Ctrl.State(); s != pg.Draining {
 					t.Fatalf("cycle %d: router %d is %v, want draining", timeout-1, r.ID, s)
 				}
 			}
+			if got := len(n.ActiveNodes()); got != len(n.Routers) {
+				t.Fatalf("cycle %d: %d nodes live, want all %d", timeout-1, got, len(n.Routers))
+			}
 
-			// ...and the timeout cycle gates every router, all without any
-			// node re-entering the set.
+			// ...and the timeout cycle gates every router and retires
+			// every node in that same cycle.
 			n.Step()
-			n.SyncInspection()
 			for _, r := range n.Routers {
 				if s := r.Ctrl.State(); s != pg.Gated {
 					t.Fatalf("cycle %d: router %d is %v, want gated", timeout, r.ID, s)
 				}
 			}
+			if got := len(n.ActiveNodes()); got != 0 {
+				t.Fatalf("cycle %d: want empty active set, got %v", timeout, n.ActiveNodes())
+			}
+			n.Step()
 			for i := range n.Routers {
-				if got := n.NodeSteps(mesh.NodeID(i)); got != 1 {
-					t.Fatalf("node %d stepped %d cycles, want exactly 1", i, got)
+				if got := n.NodeSteps(mesh.NodeID(i)); got != int64(timeout) {
+					t.Fatalf("node %d stepped %d cycles, want exactly %d", i, got, timeout)
 				}
 			}
 		})
@@ -123,8 +120,8 @@ func TestDrainDeactivationFreezesNodeSteps(t *testing.T) {
 	if !n.Quiesced() {
 		t.Fatal("active set empty but network not quiesced")
 	}
-	// Give the lazily-replayed FSMs time to pass their idle timeout, then
-	// confirm the whole mesh gated without any node re-entering the set.
+	// Step on idle, then confirm the whole mesh stays gated without any
+	// node re-entering the set.
 	for i := 0; i < 50; i++ {
 		n.Step()
 	}
@@ -172,8 +169,8 @@ func TestPunchWakesQuiescentGatedRouter(t *testing.T) {
 	cfg := activeTestConfig(config.PowerPunchPG)
 	n := mustNew(t, cfg)
 	stepUntilSetEmpty(t, n, 50)
-	// Step past the idle timeout so the retired routers' replayed FSMs
-	// are all Gated before the punch scenario begins.
+	// Step on idle so every router is Gated and retired before the
+	// punch scenario begins.
 	for i := 0; i < 20; i++ {
 		n.Step()
 	}
@@ -325,9 +322,9 @@ func TestSimultaneousWakeAndSleepInOneCycle(t *testing.T) {
 		}
 		n.Step()
 
-		// Set-membership invariant, checked before the states are synced
-		// (syncing replays dormant FSMs but must not be needed for it):
-		// a retired node is structurally quiescent.
+		// Set-membership invariant, checked before the counters are
+		// synced (it must not need the sync): a retired node is
+		// quiescent.
 		for j := range n.Routers {
 			if !n.sched.inSet[j] && !n.sched.quiescent(int32(j)) {
 				t.Fatalf("cycle %d: router %d is outside the active set but not quiescent", n.Now(), j)

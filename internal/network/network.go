@@ -56,9 +56,7 @@ type Network struct {
 	pktSeq uint64
 
 	// bus is the observability event bus, nil until Observe attaches a
-	// sink. With a bus attached the scheduler keeps nodes live while
-	// their PG controllers are mid-transition (see scheduler.quiescent)
-	// so every gate/wake event is emitted at its true cycle.
+	// sink.
 	bus *obs.Bus
 
 	// sched is the active-set tick scheduler (see sched.go). Under
@@ -178,16 +176,8 @@ func New(cfg config.Config) (*Network, error) {
 		// never bypass-eligible; torus/ring wrap links wire naturally.
 		n.bypassOn = true
 		be, _ := pol.(scheme.BypassEnergy)
-		// Bypass admission and wakeup suppression read NEIGHBOR
-		// controller state, which under the active-set scheduler may be
-		// stale for a parked node. The sync hook replays the parked
-		// controller's skipped idle cycles first, so the read sees
-		// exactly the state the full walk would have computed. The full
-		// walk keeps every controller live, so the hook no-ops there.
-		sync := func(id mesh.NodeID) { n.sched.catchUp(int32(id), n.now-1) }
 		for id, r := range n.Routers {
 			r.EnableBypass(be)
-			r.SetCtrlSync(sync)
 			for _, d := range mesh.LinkDirections {
 				b := n.nbr[id][d]
 				if b == mesh.Invalid {
@@ -452,16 +442,12 @@ func (n *Network) Step() {
 }
 
 // maskBlocked refreshes router i's output masks from its neighbours' PG
-// levels. A neighbour may be retired with its controller mid-evolution
-// (idle-counting toward a gate, or waking), so its FSM is caught up
-// through the previous cycle first — the state the full walk's mask
-// phase would read. The catch-up is a no-op for live neighbours and
-// does not re-arm the dormant ones.
+// levels. A retired neighbour's controller is parked, so its pgLevel bit
+// is already the state the full walk's mask phase would read.
 func (n *Network) maskBlocked(i int32) {
 	r := n.Routers[i]
 	for _, d := range mesh.LinkDirections {
 		if nb := n.nbr[i][d]; nb != mesh.Invalid {
-			n.sched.catchUp(int32(nb), n.now-1)
 			r.Out(d).Blocked = workset.Has(n.pgLevel, int(nb))
 		}
 	}
@@ -578,10 +564,10 @@ func (n *Network) forwardBypass(from *router.Router, d mesh.Direction, ft router
 }
 
 // bypassHeld reports whether any neighbor currently streams bypass
-// flits over router i. It feeds the controller's BypassHold input and
-// pins a flown-over router in the active set, so its held wake is
-// stepped live every cycle. Stream counters are written in the router
-// phase and read here (phase 7) and at end-of-cycle quiescence.
+// flits over router i. It feeds the controller's BypassHold input,
+// which only a Waking controller reads; a waking router is not parked,
+// so it is never retired. Stream counters are written in the router
+// phase and read here (phase 7).
 func (n *Network) bypassHeld(i int) bool {
 	for _, d := range mesh.LinkDirections {
 		if nb := n.nbr[i][d]; nb != mesh.Invalid && n.Routers[nb].BypassStreams(d.Opposite()) > 0 {
@@ -737,7 +723,6 @@ func (n *Network) SyncInspection() {
 
 // GatedRouterCount returns the number of routers currently gated off.
 func (n *Network) GatedRouterCount() int {
-	n.SyncInspection()
 	c := 0
 	for _, r := range n.Routers {
 		if r.Ctrl.State() == pg.Gated {
@@ -757,7 +742,9 @@ func (n *Network) GatedRouterCount() int {
 //     wire + credits on the reverse wire == buffer depth;
 //  3. the work summaries match the objects they summarize: holds is
 //     !Empty, each pipes bit is its pipe's !Empty, pgLevel is
-//     PGAsserted, and niBusy covers every busy NI.
+//     PGAsserted, and niBusy covers every busy NI;
+//  4. every node outside the active set and not pending has a parked
+//     PG controller, so its state and pgLevel bit are exact.
 func (n *Network) CheckInvariants() {
 	n.SyncInspection()
 	for _, r := range n.Routers {
@@ -767,6 +754,11 @@ func (n *Network) CheckInvariants() {
 		}
 	}
 	n.checkWorkSets()
+	for i, in := range n.sched.inSet {
+		if c := n.Routers[i].Ctrl; !in && !c.Parked() {
+			panic(fmt.Sprintf("network: node %d is retired with its controller %v", i, c.State()))
+		}
+	}
 	perVN := n.Cfg.VCsPerVN()
 	for _, a := range n.Routers {
 		for _, d := range mesh.LinkDirections {

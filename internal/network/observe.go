@@ -11,8 +11,7 @@ import (
 // PG controller, NI, and the punch fabric publish cycle-level events
 // into a shared obs.Bus fanned out to the sinks. Must be called
 // before the first Step — a mid-run attach would see a torn event
-// stream (and, under the active-set scheduler, miss transitions that
-// already collapsed into batched catch-up), so it panics after cycle 0.
+// stream, so it panics after cycle 0.
 //
 // With no observer attached the whole layer is a nil-pointer check per
 // emission site; the hot tick path stays allocation-free either way

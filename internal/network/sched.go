@@ -2,7 +2,6 @@ package network
 
 import (
 	"powerpunch/internal/mesh"
-	"powerpunch/internal/pg"
 	"powerpunch/internal/workset"
 )
 
@@ -23,29 +22,24 @@ import (
 // the explicit flush points in Step, so a phase never observes a
 // node armed while that phase was already iterating.
 //
-// Quiescence does not require the PG controller to have finished its
-// own idle journey: with an empty datapath and no wakeup or punch level
-// — and every source of those levels re-arms the node before the level
-// is readable — the gating FSM's inputs are pinned to (Empty, no WU, no
-// punch), under which Active counts idle, Draining counts down, Waking
-// counts Twakeup, and Gated is a fixed point. That evolution is
-// deterministic, so the scheduler retires the node immediately and
-// replays the controller cycle by cycle in catch-up when something next
-// observes or re-arms it. This is what makes the set small at low load:
-// a router leaves the set the first cycle it goes quiet, not Twakeup +
-// timeout cycles later.
+// Quiescence includes the PG controller: a node retires only once its
+// controller is parked — Gated, or disabled under No-PG. Both are fixed
+// points under the inputs a quiescent datapath pins (Empty, no WU, no
+// punch; a bypass hold is read only while Waking), so a retired node's
+// State() and pgLevel bit stay exact while it sleeps; only its
+// gated-cycle counters and its static-power charges lag. A controller still counting idle, draining
+// or waking keeps its node live, so every transition happens in the
+// live controller pass at its true cycle.
 //
-// Skipped nodes are therefore never unaccounted: catch-up replays the
-// identical per-cycle operations — controller Step with idle inputs,
-// then the static-power tick, including per-cycle floating-point adds —
-// so active-set runs are bit-identical to Config.FullTick full-walk
-// runs; the golden-metrics tests assert it. Once the replayed FSM
-// parks (disabled or Gated, both fixed points), the remaining cycles
-// collapse into the batched AdvanceIdleGated fast path.
+// Skipped nodes are therefore never unaccounted: catch-up applies the
+// lagging counters in one batched AdvanceIdleGated + TickStaticN call,
+// the same integer sums the full walk accumulates cycle by cycle, so
+// active-set runs are bit-identical to Config.FullTick full-walk runs;
+// the golden-metrics tests assert it.
 //
 // Under Config.FullTick the scheduler is pinned: no node ever leaves
 // the set, so every phase walks every node (intersected with its work
-// summary) and catch-up never has anything to replay. That full walk is
+// summary) and catch-up never has anything to charge. That full walk is
 // the reference the active-set runs are differentially tested against.
 type scheduler struct {
 	n      *Network
@@ -139,33 +133,19 @@ func (s *scheduler) flush(now int64) {
 }
 
 // catchUp applies node i's skipped per-cycle charges for every cycle in
-// (syncedTo, through]: the controller's idle-input Step and the power
-// accountant's static tick, in the live phase order (controller first,
-// then static power at the post-step state) — exactly what the full
-// walk would have done. The replay runs cycle by cycle only while the
-// FSM is still evolving (Active/Draining counting idle, Waking counting
-// down, a throttled controller draining its back-off window); once it
-// parks — disabled or Gated, both fixed points — the rest of the window
-// collapses into one batched AdvanceIdleGated + TickStaticN call whose
-// result is bit-identical to the per-cycle loop. Safe only while the
-// node is quiescent: its idle inputs are guaranteed because every
-// wakeup source (flit push, punch hold, WU want, injection) re-arms the
-// node before the level becomes readable.
+// (syncedTo, through]: the parked controller's gated-cycle counters and
+// the power accountant's static ticks at its fixed power state. A
+// retired node's controller is always parked (see quiescent), so the
+// whole window is one AdvanceIdleGated + TickStaticN call, which panics
+// on an enabled controller that is not Gated.
 func (s *scheduler) catchUp(i int32, through int64) {
 	if through <= s.syncedTo[i] {
 		return
 	}
 	d := through - s.syncedTo[i]
 	c := s.n.Routers[i].Ctrl
-	for d > 0 && !c.Parked() {
-		c.Step(pg.Inputs{Empty: true})
-		s.n.Acct.TickStatic(int(i), routerPowerState(c))
-		d--
-	}
-	if d > 0 {
-		c.AdvanceIdleGated(d)
-		s.n.Acct.TickStaticN(int(i), routerPowerState(c), d)
-	}
+	c.AdvanceIdleGated(d)
+	s.n.Acct.TickStaticN(int(i), routerPowerState(c), d)
 	s.syncedTo[i] = through
 }
 
@@ -186,41 +166,25 @@ func (s *scheduler) syncAll(through int64) {
 
 // quiescent reports whether node i can leave the active set: no flit
 // buffered, NI holding no work, nothing in flight in its outgoing flit
-// and credit pipes, and no flit in flight toward it — all read from the
+// and credit pipes, no flit in flight toward it — all read from the
 // work summaries (niBusy is exact here: phase 6 cleared it for every
-// idle NI it stepped). The PG controller's state is deliberately NOT
-// consulted: an idle-counting, draining, waking, or gated FSM all
-// evolve deterministically under the idle inputs a quiescent datapath
-// pins (catchUp replays them), and every event that would change those
-// inputs — flit push, punch hold, WU want, local injection — re-arms
-// the node before the controller could observe it. A quiescent node's
-// skipped cycles are therefore exact replays of what the full walk
-// would have computed.
+// idle NI it stepped) — and its PG controller parked. Every event that
+// would change a parked controller's idle inputs — flit push, punch
+// hold, WU want, local injection — re-arms the node before the
+// controller could observe it.
 // Nodes pinned by a level signal — a punch hold or a neighbour's WU
 // want — are kept in the set even when structurally idle: the level's
 // source would re-arm them next cycle anyway, so retiring them would
-// only churn the pending list, and their controllers' inputs are not
-// the idle ones catch-up replays.
+// only churn the pending list.
 func (s *scheduler) quiescent(i int32) bool {
 	n := s.n
 	if workset.Has(n.holds, int(i)) || workset.Has(n.niBusy, int(i)) || n.pipeLane(int(i)) != 0 {
 		return false
 	}
-	if n.bus != nil && !n.Routers[i].Ctrl.Parked() {
-		// An observability bus is attached: keep the node live until its
-		// controller reaches a fixed point, so every gate/wake/active
-		// transition is emitted at its true cycle instead of being
-		// replayed silently inside catch-up. Live stepping computes
-		// bit-identical state to catch-up; only event timing needs this.
+	if !n.Routers[i].Ctrl.Parked() {
 		return false
 	}
 	if n.Fabric != nil && n.Fabric.Hold(mesh.NodeID(i)) {
-		return false
-	}
-	if n.bypassOn && n.bypassHeld(int(i)) {
-		// A neighbor streams bypass flits over this router: its held
-		// wake (BypassHold) is not the idle input catch-up replays, so
-		// it must be stepped live until the stream's tail clears.
 		return false
 	}
 	for _, d := range mesh.LinkDirections {

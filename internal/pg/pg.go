@@ -188,9 +188,8 @@ func (c *Controller) State() State { return c.state }
 func (c *Controller) IsOn() bool { return c.state == Active || c.state == Draining }
 
 // TrackLevel makes b the controller's PG-level bit: every state change
-// writes PGAsserted into it, so Step, the active-set scheduler's
-// catch-up and ForceWake all keep it current. It is written at once
-// from the current state.
+// writes PGAsserted into it, so Step and ForceWake keep it current. It
+// is written at once from the current state.
 func (c *Controller) TrackLevel(b workset.Bit) {
 	c.level = b
 	b.Put(c.PGAsserted())
@@ -333,19 +332,20 @@ func (c *Controller) beginWake(punch bool) {
 // Parked reports whether the controller has reached a fixed point under
 // idle inputs: it is disabled (No-PG, Step is a no-op) or Gated (each
 // idle Step only bumps the gated counters, which AdvanceIdleGated
-// batches). The active-set scheduler's catch-up replays an unparked
-// controller cycle by cycle — Active/Draining advancing the idle
-// counter, Waking counting down Twakeup — and switches to the batched
-// fast path the moment Parked becomes true.
+// batches). The active-set scheduler retires a node only once its
+// controller is parked, so a retired node's State and PG level stay
+// exact while it is skipped.
 func (c *Controller) Parked() bool { return !c.enabled || c.state == Gated }
 
 // AdvanceIdleGated applies n cycles of Step with a parked controller's
 // only possible inputs (empty datapath, no wakeup, no punch hold) in one
 // call. For a Gated controller each such Step increments the gated-cycle
 // counters and drains the adaptive-throttle window; for a disabled
-// controller Step is a no-op. The active-set scheduler uses it to catch
-// a skipped controller up when its router re-arms; the result is
-// bit-identical to n individual Step calls.
+// controller Step is a no-op. The active-set scheduler uses it to charge
+// a retired node's skipped cycles; the result is bit-identical to n
+// individual Step calls. It panics on an enabled controller that is not
+// Gated: such a controller is not parked, and the scheduler must never
+// have retired its node.
 func (c *Controller) AdvanceIdleGated(n int64) {
 	if !c.enabled || n <= 0 {
 		return

@@ -206,13 +206,6 @@ type Router struct {
 	thruNbr       [mesh.NumPorts]mesh.NodeID
 	bypassStreams [mesh.NumPorts]int
 
-	// ctrlSync, when set, is invoked with a neighbor's ID immediately
-	// before this router reads that neighbor's PG controller state for
-	// bypass decisions. The active-set engine installs it to replay a
-	// parked controller's skipped idle cycles first; engines that step
-	// every controller every cycle leave the call a no-op.
-	ctrlSync func(mesh.NodeID)
-
 	// Stats.
 	FlitsForwarded int64
 	PGStallCycles  int64
@@ -626,9 +619,6 @@ func (r *Router) wantSuppressed(v *vc) bool {
 	if !v.thruOK || v.count == 0 || r.dsts[v.front()] == int32(mesh.Invalid) || r.thruCtrl[v.outDir] == nil {
 		return false
 	}
-	if r.ctrlSync != nil {
-		r.ctrlSync(r.thruNbr[v.outDir])
-	}
 	return !r.thruCtrl[v.outDir].PGAsserted()
 }
 
@@ -671,10 +661,6 @@ func (r *Router) tryBypassGrant(v *vc, p int, now int64) bool {
 	} else {
 		if !v.thruOK || r.dsts[v.front()] == int32(mesh.Invalid) {
 			return false
-		}
-		if r.ctrlSync != nil {
-			r.ctrlSync(r.out[p].neighbor)
-			r.ctrlSync(r.thruNbr[p])
 		}
 		if r.nbrCtrl[p] == nil || r.nbrCtrl[p].State() != pg.Gated {
 			return false
@@ -933,10 +919,6 @@ func (r *Router) EnableBypass(energy scheme.BypassEnergy) {
 	r.bypassOn = true
 	r.bypassEnergy = energy
 }
-
-// SetCtrlSync installs the neighbor-controller catch-up hook consulted
-// before bypass reads of a parked neighbor's PG state.
-func (r *Router) SetCtrlSync(f func(mesh.NodeID)) { r.ctrlSync = f }
 
 // SetBypassWiring installs the through-path for link direction d: the
 // flown-over neighbor's output port (whose VC space belongs to the
