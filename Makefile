@@ -21,7 +21,7 @@ test: build
 # vet also fails on any file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
-	@bad=$$(gofmt -l cmd internal examples *.go); \
+	@bad=$$(gofmt -l cmd internal examples bench *.go); \
 	if [ -n "$$bad" ]; then \
 		echo "vet: files need gofmt:"; \
 		echo "$$bad"; \

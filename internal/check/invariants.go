@@ -570,9 +570,10 @@ func (e *Engine) checkFabric(now int64) {
 
 // checkPGStats cross-checks the controllers' break-even (BET) accounting
 // against the engine's independent observation of the same FSM: gated
-// and waking cycle counters must agree exactly (the controller counts at
-// its step, the engine at end of cycle, so a period in progress is one
-// ahead), and event counters must be mutually consistent.
+// and waking cycle counters through this cycle (Stats(now)) must agree
+// exactly (the controller counts from the cycle after a transition, the
+// engine every cycle it observes the state, so a period in progress is
+// one ahead), and event counters must be mutually consistent.
 func (e *Engine) checkPGStats(now int64) {
 	if e.first != nil {
 		return
@@ -581,7 +582,7 @@ func (e *Engine) checkPGStats(now int64) {
 		if !r.Ctrl.Enabled() {
 			continue
 		}
-		st := r.Ctrl.Stats()
+		st := r.Ctrl.Stats(now)
 		adjG, adjW := int64(0), int64(0)
 		switch r.Ctrl.State() {
 		case pg.Gated:

@@ -349,7 +349,7 @@ func (f *Fabric) send(node int, out uint64) {
 		}
 		f.stats.ChannelCycles++
 		if f.acct != nil {
-			f.acct.PunchHop(node)
+			f.acct.PunchHop()
 		}
 		if f.bus != nil && m&(m-1) != 0 {
 			for _, t := range f.decode(node, m&(m-1)) {

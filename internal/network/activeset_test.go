@@ -98,12 +98,11 @@ func TestIdleNetworkGatesAndDrainsAtExactCycle(t *testing.T) {
 }
 
 // TestDrainDeactivationFreezesNodeSteps pins last-flit drain
-// deactivation and the exactness of batched catch-up: after one packet
+// deactivation and the exactness of skipped cycles: after one packet
 // delivers and the network re-gates, the active set empties, node step
-// counts freeze completely, and 200 further skipped cycles are charged
-// to the gated routers exactly (200 gated-cycles per router), proving a
-// skipped cycle and a stepped idle cycle are indistinguishable in the
-// accounts.
+// counts freeze completely, and 200 further skipped cycles count for the
+// gated routers exactly (200 gated-cycles per router), proving a skipped
+// cycle and a stepped idle cycle are indistinguishable in the accounts.
 func TestDrainDeactivationFreezesNodeSteps(t *testing.T) {
 	cfg := activeTestConfig(config.PowerPunchPG)
 	n := mustNew(t, cfg)
@@ -128,7 +127,6 @@ func TestDrainDeactivationFreezesNodeSteps(t *testing.T) {
 	if got := len(n.ActiveNodes()); got != 0 {
 		t.Fatalf("idle stepping re-armed nodes: %v", n.ActiveNodes())
 	}
-	n.SyncInspection()
 	for _, r := range n.Routers {
 		if s := r.Ctrl.State(); s != pg.Gated {
 			t.Fatalf("router %d is %v after drain, want gated", r.ID, s)
@@ -152,11 +150,10 @@ func TestDrainDeactivationFreezesNodeSteps(t *testing.T) {
 			t.Fatalf("node %d stepped while quiescent: %d -> %d", i, b, got)
 		}
 	}
-	// Report() syncs parked nodes: exactly one gated-cycle per router per
-	// skipped cycle.
+	// Exactly one gated-cycle per router per skipped cycle.
 	want := gatedBefore + 200*int64(len(n.Routers))
 	if got := n.Report().Totals().GatedCycles; got != want {
-		t.Fatalf("deferred gated-cycle charge: got %d, want exactly %d", got, want)
+		t.Fatalf("gated cycles over skipped cycles: got %d, want exactly %d", got, want)
 	}
 }
 
@@ -174,7 +171,6 @@ func TestPunchWakesQuiescentGatedRouter(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		n.Step()
 	}
-	n.SyncInspection()
 	for _, r := range n.Routers {
 		if s := r.Ctrl.State(); s != pg.Gated {
 			t.Fatalf("setup: router %d is %v, want gated", r.ID, s)
@@ -185,7 +181,7 @@ func TestPunchWakesQuiescentGatedRouter(t *testing.T) {
 	before := snapshotNodeSteps(n)
 	punchBefore := make(map[mesh.NodeID]int64)
 	for _, id := range path {
-		punchBefore[id] = n.Routers[id].Ctrl.Stats().WakeupsPunch
+		punchBefore[id] = n.Routers[id].Ctrl.Stats(n.Now() - 1).WakeupsPunch
 	}
 
 	p := n.NewPacket(0, 3, flit.VNRequest, flit.KindControl)
@@ -203,13 +199,12 @@ func TestPunchWakesQuiescentGatedRouter(t *testing.T) {
 		n.Step()
 	}
 
-	n.SyncInspection()
 	var punchWakes int64
 	for _, id := range path {
 		if got := n.NodeSteps(id); got <= before[id] {
 			t.Errorf("path router %d never re-entered the active set (steps %d)", id, got)
 		}
-		punchWakes += n.Routers[id].Ctrl.Stats().WakeupsPunch - punchBefore[id]
+		punchWakes += n.Routers[id].Ctrl.Stats(n.Now()-1).WakeupsPunch - punchBefore[id]
 	}
 	if punchWakes == 0 {
 		t.Errorf("no path router woke by punch; the wakeups were not punch-driven")
@@ -220,7 +215,6 @@ func TestPunchWakesQuiescentGatedRouter(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		n.Step()
 	}
-	n.SyncInspection()
 	for _, r := range n.Routers {
 		if s := r.Ctrl.State(); s != pg.Gated {
 			t.Fatalf("router %d is %v after re-drain, want gated", r.ID, s)
@@ -304,7 +298,6 @@ func TestSimultaneousWakeAndSleepInOneCycle(t *testing.T) {
 			prev[i] = r.Ctrl.State()
 		}
 	}
-	n.SyncInspection()
 	record()
 
 	simultaneous := false
@@ -322,16 +315,13 @@ func TestSimultaneousWakeAndSleepInOneCycle(t *testing.T) {
 		}
 		n.Step()
 
-		// Set-membership invariant, checked before the counters are
-		// synced (it must not need the sync): a retired node is
-		// quiescent.
+		// Set-membership invariant: a retired node is quiescent.
 		for j := range n.Routers {
 			if !n.sched.inSet[j] && !n.sched.quiescent(int32(j)) {
 				t.Fatalf("cycle %d: router %d is outside the active set but not quiescent", n.Now(), j)
 			}
 		}
 
-		n.SyncInspection()
 		wokeThisCycle, sleptThisCycle := -1, -1
 		for j, r := range n.Routers {
 			cur := r.Ctrl.State()

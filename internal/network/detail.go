@@ -149,8 +149,8 @@ type RunDetail struct {
 	Energy  EnergyBreakdown `json:"energy"`
 }
 
-// detail assembles the RunDetail from the run's collectors. Call only
-// after SyncInspection/syncAll (result does).
+// detail assembles the RunDetail from the run's collectors, with the
+// controllers' statistics through the last stepped cycle.
 func (n *Network) detail() RunDetail {
 	st := n.Col.Stages()
 	d := RunDetail{
@@ -165,7 +165,7 @@ func (n *Network) detail() RunDetail {
 		},
 	}
 	for _, r := range n.Routers {
-		cs := r.Ctrl.Stats()
+		cs := r.Ctrl.Stats(n.now - 1)
 		d.PG.GatingEvents += cs.GatingEvents
 		d.PG.GatedCycles += cs.GatedCycles
 		d.PG.WakingCycles += cs.WakingCycles

@@ -74,6 +74,10 @@ type Network struct {
 	// pipe of port p, bit pipeCredit+p for the CreditOut pipe of port p,
 	// set while the pipe holds anything.
 	holds, niBusy, pgLevel, pipes []uint64
+	// gated is the number of Gated controllers, kept by the controllers'
+	// gate and wake hooks; the accountant charges each cycle's static
+	// power from it.
+	gated int
 
 	// pool recycles flit objects on the hot path. It is wired only when
 	// Cfg.Checks is off: the invariant engine's stall tracking compares
@@ -160,8 +164,10 @@ func New(cfg config.Config) (*Network, error) {
 	for id := mesh.NodeID(0); m.Contains(id); id++ {
 		ctrl := pg.New(pol.Gates(), timeout, cfg.WakeupLatency, cfg.BreakEven)
 		ctrl.SetAdaptiveThrottle(cfg.AdaptiveThrottle)
-		rid := int(id)
-		ctrl.SetHooks(nil, func() { acct.GatingEvent(rid) })
+		ctrl.SetHooks(func() { n.gated++ }, func() {
+			n.gated--
+			acct.GatingEvent()
+		})
 		r := router.New(id, rf, &n.Cfg, ctrl, acct)
 		n.Routers = append(n.Routers, r)
 		n.NIs = append(n.NIs, ni.New(id, m, &n.Cfg, r, fab, col))
@@ -328,13 +334,8 @@ func (n *Network) NewPacket(src, dst mesh.NodeID, vn flit.VirtualNetwork, kind f
 }
 
 // SetAccounting enables or disables energy accounting (typically enabled
-// for exactly the measurement window). Parked nodes are synced through
-// the previous cycle first so their deferred static charges land under
-// the flag that was in force when the cycles elapsed.
-func (n *Network) SetAccounting(v bool) {
-	n.sched.syncAll(n.now - 1)
-	n.Acct.SetEnabled(v)
-}
+// for exactly the measurement window).
+func (n *Network) SetAccounting(v bool) { n.Acct.SetEnabled(v) }
 
 // Step advances the network one cycle. Each phase iterates only the
 // nodes that can change state this cycle: the active set (all nodes
@@ -353,12 +354,12 @@ func (n *Network) Step() {
 	}
 
 	// Arm nodes the driver submitted work to since the last cycle.
-	s.flush(now)
+	s.flush()
 
 	// 1. Deliver everything arriving this cycle (latched from earlier).
 	n.deliver(now)
 	// Ejection Deliver callbacks may have submitted follow-up work.
-	s.flush(now)
+	s.flush()
 
 	// 2. NI signalling: move announced messages along, emit injection-
 	//    node punches (PowerPunch-PG slacks 1 and 2). An idle NI has
@@ -381,7 +382,7 @@ func (n *Network) Step() {
 			for _, id := range n.Fabric.Held() {
 				s.activate(int32(id), true)
 			}
-			s.flush(now)
+			s.flush()
 		}
 	}
 
@@ -411,30 +412,24 @@ func (n *Network) Step() {
 			workset.Of(n.niBusy, int(i)).Clear()
 		}
 	}
-	s.flush(now)
+	s.flush()
 
 	// 7. Power-gating controllers observe this cycle's levels and step
 	//    (arming WU-wanted neighbours themselves).
 	n.stepControllers(now)
 
-	// 8. Power accounting for live nodes; parked nodes accrue the same
-	//    charges in batched catch-up when they re-arm (or eagerly below
-	//    while the invariant engine is comparing counters).
-	for i := s.next(0); i != -1; i = s.next(i + 1) {
-		n.Acct.TickStatic(int(i), routerPowerState(n.Routers[i].Ctrl))
-	}
-	n.Acct.TickCycle()
+	// 8. Static power for every router, live or retired, from the
+	//    controllers' gated count after this cycle's steps.
+	n.Acct.TickCycle(n.gated)
 
-	// 9. Invariant engine: it reads every node's counters each cycle, so
-	//    parked nodes must be charged eagerly while it runs.
+	// 9. Invariant engine.
 	if n.Checker != nil {
-		s.syncAll(now)
 		if v := n.Checker.EndCycle(now); v != nil {
 			n.reportViolation(v)
 		}
 	}
 
-	s.endCycle(now)
+	s.endCycle()
 	if n.bus != nil {
 		n.bus.EndCycle()
 	}
@@ -581,10 +576,10 @@ func (n *Network) bypassHeld(i int) bool {
 // cycle's levels and advances their gating FSMs. A parked node's
 // contribution is provably nil: it is empty (no WU wants, cleared on
 // deactivation), its NI idle (no local WU), and its controller parked
-// (Step is a no-op for disabled, and the Gated idle tick is applied by
-// catch-up). The one coupling — a live neighbour's WU want toward a
-// parked gated router — arms that router here, before the wakeup levels
-// are read, so it wakes in the same cycle the full walk would wake it.
+// (an idle Step is a no-op). The one coupling — a live neighbour's WU
+// want toward a parked gated router — arms that router here, before the
+// wakeup levels are read, so it wakes in the same cycle the full walk
+// would wake it.
 func (n *Network) stepControllers(now int64) {
 	if !n.pol.Gates() {
 		return
@@ -618,7 +613,7 @@ func (n *Network) stepControllers(now int64) {
 			}
 		}
 	}
-	s.flush(now)
+	s.flush()
 	for i := s.next(0); i != -1; i = s.next(i + 1) {
 		// Only a busy NI can want its router awake.
 		wu := workset.Has(n.niBusy, int(i)) && n.NIs[i].WantsWakeup()
@@ -645,9 +640,9 @@ func (n *Network) stepControllers(now int64) {
 		}
 		bhold := n.bypassOn && n.bypassHeld(int(i))
 		if n.wakeups[i] && n.Acct.Enabled() {
-			n.Acct.WakeupSignal(int(i))
+			n.Acct.WakeupSignal()
 		}
-		n.Routers[i].Ctrl.Step(pg.Inputs{Empty: empty, Wakeup: n.wakeups[i], PunchHold: hold, BypassHold: bhold})
+		n.Routers[i].Ctrl.Step(now, pg.Inputs{Empty: empty, Wakeup: n.wakeups[i], PunchHold: hold, BypassHold: bhold})
 	}
 }
 
@@ -679,17 +674,6 @@ func (n *Network) incomingQuiet(i int32) bool {
 	return true
 }
 
-func routerPowerState(c *pg.Controller) power.RouterState {
-	switch c.State() {
-	case pg.Gated:
-		return power.Gated
-	case pg.Waking:
-		return power.WakingUp
-	default:
-		return power.On
-	}
-}
-
 // Quiesced reports whether no packet or flit remains anywhere in the
 // network or its NIs.
 func (n *Network) Quiesced() bool {
@@ -712,25 +696,8 @@ func (n *Network) Quiesced() bool {
 	return true
 }
 
-// SyncInspection catches every retired node's controller and power
-// counters up through the previous cycle, so direct reads of router or
-// controller state (heatmaps, tests, ad-hoc probes) observe exactly
-// what the full walk would hold. A no-op under Cfg.FullTick; it never
-// re-arms a node.
-func (n *Network) SyncInspection() {
-	n.sched.syncAll(n.now - 1)
-}
-
 // GatedRouterCount returns the number of routers currently gated off.
-func (n *Network) GatedRouterCount() int {
-	c := 0
-	for _, r := range n.Routers {
-		if r.Ctrl.State() == pg.Gated {
-			c++
-		}
-	}
-	return c
-}
+func (n *Network) GatedRouterCount() int { return n.gated }
 
 // CheckInvariants panics with a description if a structural invariant is
 // violated; tests call it periodically.
@@ -742,11 +709,11 @@ func (n *Network) GatedRouterCount() int {
 //     wire + credits on the reverse wire == buffer depth;
 //  3. the work summaries match the objects they summarize: holds is
 //     !Empty, each pipes bit is its pipe's !Empty, pgLevel is
-//     PGAsserted, and niBusy covers every busy NI;
+//     PGAsserted, niBusy covers every busy NI, and gated is the number
+//     of Gated controllers;
 //  4. every node outside the active set and not pending has a parked
 //     PG controller, so its state and pgLevel bit are exact.
 func (n *Network) CheckInvariants() {
-	n.SyncInspection()
 	for _, r := range n.Routers {
 		if !r.Ctrl.IsOn() && !r.Empty() {
 			panic(fmt.Sprintf("network: router %d is %v with %d buffered flits",
@@ -811,7 +778,11 @@ func (n *Network) checkWorkSets() {
 	stale := func(what string, id mesh.NodeID, bit bool) {
 		panic(fmt.Sprintf("network: %s bit of node %d is %v, the state it summarizes is not", what, id, bit))
 	}
+	gated := 0
 	for i, r := range n.Routers {
+		if r.Ctrl.State() == pg.Gated {
+			gated++
+		}
 		if bit := workset.Has(n.holds, i); bit == r.Empty() {
 			stale("holds", r.ID, bit)
 		}
@@ -830,6 +801,9 @@ func (n *Network) checkWorkSets() {
 				stale("CreditOut pipe "+d.String(), r.ID, bit)
 			}
 		}
+	}
+	if gated != n.gated {
+		panic(fmt.Sprintf("network: gated count is %d, %d controllers are Gated", n.gated, gated))
 	}
 }
 
@@ -904,10 +878,9 @@ func (n *Network) RunUntil(d Driver, maxCycles int64) RunResult {
 }
 
 func (n *Network) result(drained bool) RunResult {
-	n.sched.syncAll(n.now - 1)
 	var gatings int64
 	for _, r := range n.Routers {
-		gatings += r.Ctrl.Stats().GatingEvents
+		gatings += r.Ctrl.Stats(n.now - 1).GatingEvents
 	}
 	return RunResult{
 		Cycles:       n.now,

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"powerpunch/internal/obs"
-	"powerpunch/internal/power"
 )
 
 // Observe attaches observability sinks to the network: every router,
@@ -48,29 +47,14 @@ func (n *Network) Observe(sinks ...obs.Sink) {
 	}
 	for _, s := range sinks {
 		// Sinks that consume cumulative per-component energy (the
-		// timeline Sampler's power columns) read the run's accountant
-		// through syncedMeter, so EndCycle reads are current and
-		// engine-invariant.
+		// timeline Sampler's power columns) read the run's accountant,
+		// which is exact at every EndCycle.
 		if pm, ok := s.(interface{ SetPowerMeter(obs.PowerMeter) }); ok {
-			pm.SetPowerMeter(syncedMeter{n})
+			pm.SetPowerMeter(n.Acct)
 		}
 		n.bus.Attach(s)
 	}
 }
-
-// syncedMeter is the obs.PowerMeter sinks read: the run's accountant,
-// with every node the active-set scheduler parked charged through the
-// cycle being closed first. Parked nodes otherwise accrue their static
-// charges in a batch when they re-arm, which would move an idle
-// window's power into a later window (or past the last one).
-type syncedMeter struct{ n *Network }
-
-func (m syncedMeter) Components() power.ComponentBreakdown {
-	m.n.sched.syncAll(m.n.now)
-	return m.n.Acct.Components()
-}
-
-func (m syncedMeter) CycleTime() float64 { return m.n.Acct.CycleTime() }
 
 // Observed reports whether an observability bus is attached.
 func (n *Network) Observed() bool { return n.bus != nil }

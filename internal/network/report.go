@@ -27,13 +27,12 @@ type UtilizationReport struct {
 	Routers []RouterReport
 }
 
-// Report snapshots per-router statistics. Parked nodes are synced first
-// so their deferred gated-cycle counts are exact.
+// Report snapshots per-router statistics through the last stepped
+// cycle.
 func (n *Network) Report() *UtilizationReport {
-	n.sched.syncAll(n.now - 1)
 	rep := &UtilizationReport{Cycles: n.now}
 	for _, r := range n.Routers {
-		cs := r.Ctrl.Stats()
+		cs := r.Ctrl.Stats(n.now - 1)
 		rep.Routers = append(rep.Routers, RouterReport{
 			ID:             r.ID,
 			FlitsForwarded: r.FlitsForwarded,

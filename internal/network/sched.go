@@ -25,22 +25,19 @@ import (
 // Quiescence includes the PG controller: a node retires only once its
 // controller is parked — Gated, or disabled under No-PG. Both are fixed
 // points under the inputs a quiescent datapath pins (Empty, no WU, no
-// punch; a bypass hold is read only while Waking), so a retired node's
-// State() and pgLevel bit stay exact while it sleeps; only its
-// gated-cycle counters and its static-power charges lag. A controller still counting idle, draining
-// or waking keeps its node live, so every transition happens in the
-// live controller pass at its true cycle.
-//
-// Skipped nodes are therefore never unaccounted: catch-up applies the
-// lagging counters in one batched AdvanceIdleGated + TickStaticN call,
-// the same integer sums the full walk accumulates cycle by cycle, so
-// active-set runs are bit-identical to Config.FullTick full-walk runs;
-// the golden-metrics tests assert it.
+// punch; a bypass hold is read only while Waking), so skipping a
+// retired node's Step changes nothing: its State(), pgLevel bit and
+// Stats stay exact while it sleeps, and the accountant charges its
+// static power from the network's gated count every cycle. A
+// controller still counting idle, draining or waking keeps its node
+// live, so every transition happens in the live controller pass at its
+// true cycle. Active-set runs are therefore bit-identical to
+// Config.FullTick full-walk runs; the golden-metrics tests assert it.
 //
 // Under Config.FullTick the scheduler is pinned: no node ever leaves
 // the set, so every phase walks every node (intersected with its work
-// summary) and catch-up never has anything to charge. That full walk is
-// the reference the active-set runs are differentially tested against.
+// summary). That full walk is the reference the active-set runs are
+// differentially tested against.
 type scheduler struct {
 	n      *Network
 	pinned bool // Config.FullTick: never retire a node
@@ -48,12 +45,6 @@ type scheduler struct {
 	inSet   []bool   // per node: in the set or pending (activation guard)
 	active  []uint64 // bitset over node IDs: the current active set
 	pending []int32  // armed since the last flush, not yet in active
-
-	// syncedTo[i] is the last cycle whose parked-node charges (gated
-	// controller tick, static power tick) have been applied to node i.
-	// Live-stepped nodes are charged in the cycle loop itself and marked
-	// synced at end of cycle.
-	syncedTo []int64
 
 	// nodeSteps[i] counts the cycles node i spent in the active set
 	// (instrumentation for the edge-case tests).
@@ -76,7 +67,6 @@ func newScheduler(n *Network, pinned bool) *scheduler {
 		inSet:     make([]bool, nNodes),
 		active:    make([]uint64, (nNodes+63)/64),
 		pending:   make([]int32, 0, nNodes),
-		syncedTo:  make([]int64, nNodes),
 		nodeSteps: make([]int64, nNodes),
 	}
 	// Every node starts active: PG controllers begin in Active and must
@@ -85,7 +75,6 @@ func newScheduler(n *Network, pinned bool) *scheduler {
 	for i := 0; i < nNodes; i++ {
 		s.inSet[i] = true
 		s.active[i>>6] |= 1 << (i & 63)
-		s.syncedTo[i] = -1
 	}
 	return s
 }
@@ -118,50 +107,12 @@ func (s *scheduler) activate(i int32, droppable bool) {
 // activateNode is the router forward-hook shape of activate.
 func (s *scheduler) activateNode(id mesh.NodeID) { s.activate(int32(id), true) }
 
-// flush moves pending activations into the active set, first catching
-// each node's parked charges up through the previous cycle (the current
-// cycle is charged live by the phases the node now participates in).
-func (s *scheduler) flush(now int64) {
-	if len(s.pending) == 0 {
-		return
-	}
+// flush moves pending activations into the active set.
+func (s *scheduler) flush() {
 	for _, i := range s.pending {
-		s.catchUp(i, now-1)
 		s.active[i>>6] |= 1 << (i & 63)
 	}
 	s.pending = s.pending[:0]
-}
-
-// catchUp applies node i's skipped per-cycle charges for every cycle in
-// (syncedTo, through]: the parked controller's gated-cycle counters and
-// the power accountant's static ticks at its fixed power state. A
-// retired node's controller is always parked (see quiescent), so the
-// whole window is one AdvanceIdleGated + TickStaticN call, which panics
-// on an enabled controller that is not Gated.
-func (s *scheduler) catchUp(i int32, through int64) {
-	if through <= s.syncedTo[i] {
-		return
-	}
-	d := through - s.syncedTo[i]
-	c := s.n.Routers[i].Ctrl
-	c.AdvanceIdleGated(d)
-	s.n.Acct.TickStaticN(int(i), routerPowerState(c), d)
-	s.syncedTo[i] = through
-}
-
-// syncAll catches every parked node up through the given cycle. Called
-// before anything reads controller or accountant counters (the invariant
-// engine every cycle, SetAccounting at window boundaries, reports), and
-// with the old accounting flag still in force at boundaries.
-func (s *scheduler) syncAll(through int64) {
-	for _, i := range s.pending {
-		s.catchUp(i, through)
-	}
-	for i := range s.inSet {
-		if !s.inSet[i] {
-			s.catchUp(int32(i), through)
-		}
-	}
 }
 
 // quiescent reports whether node i can leave the active set: no flit
@@ -195,14 +146,13 @@ func (s *scheduler) quiescent(i int32) bool {
 	return n.incomingQuiet(i)
 }
 
-// endCycle retires quiescent nodes from the active set and marks the
-// cycle's charges applied for the nodes that stayed live. Retired nodes
-// clear their WU wants (a parked node is empty, so the full walk would
-// compute all-false wants for it).
-func (s *scheduler) endCycle(now int64) {
+// endCycle counts the cycle for every live node and retires the
+// quiescent ones from the active set. Retired nodes clear their WU
+// wants (a parked node is empty, so the full walk would compute
+// all-false wants for it).
+func (s *scheduler) endCycle() {
 	for i := s.next(0); i != -1; i = s.next(i + 1) {
 		s.nodeSteps[i]++
-		s.syncedTo[i] = now
 		if !s.pinned && s.quiescent(i) {
 			s.inSet[i] = false
 			s.active[i>>6] &^= 1 << (i & 63)

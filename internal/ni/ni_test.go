@@ -119,7 +119,7 @@ func TestInjectionBlockedByGatedRouterAccruesStats(t *testing.T) {
 	rg := newRig(t, config.ConvOptPG)
 	// Gate the local router.
 	for i := 0; i < 6; i++ {
-		rg.r.Ctrl.Step(pg.Inputs{Empty: true})
+		rg.r.Ctrl.Step(int64(i), pg.Inputs{Empty: true})
 	}
 	if rg.r.Ctrl.IsOn() {
 		t.Fatal("setup: router should be gated")
@@ -145,7 +145,7 @@ func TestWantsWakeupOnlyWhenReady(t *testing.T) {
 	// Gate the local router so the packet cannot inject the moment it
 	// becomes ready.
 	for i := 0; i < 6; i++ {
-		rg.r.Ctrl.Step(pg.Inputs{Empty: true})
+		rg.r.Ctrl.Step(int64(i), pg.Inputs{Empty: true})
 	}
 	p := mkPkt(rg, 7, 1)
 	rg.ni.Generate(p, 0)
@@ -179,7 +179,7 @@ func TestPunchSignalsFromNI(t *testing.T) {
 	// packet punches (keep the router gated so it stays at the NI).
 	rg2 := newRig(t, config.PowerPunchSignal)
 	for i := 0; i < 6; i++ {
-		rg2.r.Ctrl.Step(pg.Inputs{Empty: true})
+		rg2.r.Ctrl.Step(int64(i), pg.Inputs{Empty: true})
 	}
 	p2 := mkPkt(rg2, 7, 1)
 	rg2.ni.Generate(p2, 0)

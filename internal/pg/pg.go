@@ -99,13 +99,13 @@ type Controller struct {
 	state     State
 	idleCnt   int
 	wakeCnt   int
-	gatedFor  int64 // cycles in current gated period
+	gatedAt   int64 // cycle of the Step that began the current gated period
 	breakEven int64
 
-	// Adaptive throttle state.
-	gatedEWMA    float64
-	ewmaSamples  int
-	throttleLeft int64
+	// Adaptive throttle state: gating is refused before throttleUntil.
+	gatedEWMA     float64
+	ewmaSamples   int
+	throttleUntil int64
 
 	stats Stats
 
@@ -113,7 +113,7 @@ type Controller struct {
 	// TrackLevel.
 	level workset.Bit
 
-	// onGate/onWake are optional energy-accounting callbacks.
+	// onGate/onWake are optional state-change callbacks; see SetHooks.
 	onGate func()
 	onWake func()
 
@@ -145,9 +145,10 @@ func New(enabled bool, timeout, wakeupLatency int, breakEven int) *Controller {
 	}
 }
 
-// SetHooks registers energy-accounting callbacks: onWake fires once per
-// gating event when the wake transition begins (the paper charges the
-// full sleep+wake overhead there).
+// SetHooks registers state-change callbacks: onGate fires when the
+// controller enters Gated, onWake when it leaves Gated to begin waking
+// (the paper charges the full sleep+wake overhead there). Between them
+// the network keeps an exact count of gated routers.
 func (c *Controller) SetHooks(onGate, onWake func()) {
 	c.onGate, c.onWake = onGate, onWake
 }
@@ -188,8 +189,8 @@ func (c *Controller) State() State { return c.state }
 func (c *Controller) IsOn() bool { return c.state == Active || c.state == Draining }
 
 // TrackLevel makes b the controller's PG-level bit: every state change
-// writes PGAsserted into it, so Step and ForceWake keep it current. It
-// is written at once from the current state.
+// writes PGAsserted into it, so Step keeps it current. It is written at
+// once from the current state.
 func (c *Controller) TrackLevel(b workset.Bit) {
 	c.level = b
 	b.Put(c.PGAsserted())
@@ -204,8 +205,18 @@ func (c *Controller) PGAsserted() bool { return c.state == Gated || c.state == W
 // Enabled reports whether power gating is active at all.
 func (c *Controller) Enabled() bool { return c.enabled }
 
-// Stats returns a copy of the accumulated statistics.
-func (c *Controller) Stats() Stats { return c.stats }
+// Stats returns the accumulated statistics as of the end of cycle
+// through, which must not precede the last Step: a gated period still
+// open then counts its cycles up to through. A controller that has sat
+// Gated without being stepped (its node retired) reads exactly as if it
+// had been stepped every cycle.
+func (c *Controller) Stats(through int64) Stats {
+	s := c.stats
+	if c.state == Gated {
+		s.GatedCycles += through - c.gatedAt
+	}
+	return s
+}
 
 // WakeRemaining returns the cycles left before a Waking router becomes
 // Active (0 otherwise).
@@ -216,16 +227,15 @@ func (c *Controller) WakeRemaining() int {
 	return 0
 }
 
-// Step advances the FSM by one cycle given this cycle's observations.
-// Call exactly once per simulation cycle; the resulting state governs the
-// next cycle. Step mutates only this controller; Inputs is a value
-// snapshot the network assembles from this cycle's levels.
-func (c *Controller) Step(in Inputs) {
+// Step advances the FSM through cycle now given that cycle's
+// observations; the resulting state governs the next cycle. Step
+// mutates only this controller; Inputs is a value snapshot the network
+// assembles from this cycle's levels. Every count is kept as elapsed
+// time (gatedAt, throttleUntil), so a Gated controller need not be
+// stepped on cycles whose inputs are idle: such a Step is a no-op.
+func (c *Controller) Step(now int64, in Inputs) {
 	if !c.enabled {
 		return
-	}
-	if c.throttleLeft > 0 {
-		c.throttleLeft--
 	}
 	switch c.state {
 	case Active, Draining:
@@ -239,7 +249,7 @@ func (c *Controller) Step(in Inputs) {
 			c.setState(Draining)
 			return
 		}
-		if c.adaptive && c.throttleLeft > 0 {
+		if c.adaptive && now < c.throttleUntil {
 			c.setState(Draining) // back-off: recent gatings were churn
 			c.stats.SleepsBlocked++
 			return
@@ -247,7 +257,7 @@ func (c *Controller) Step(in Inputs) {
 		// Timeout expired with a quiet datapath: gate off.
 		c.setState(Gated)
 		c.idleCnt = 0
-		c.gatedFor = 0
+		c.gatedAt = now
 		if c.onGate != nil {
 			c.onGate()
 		}
@@ -255,8 +265,6 @@ func (c *Controller) Step(in Inputs) {
 			c.bus.Emit(obs.Event{Kind: obs.KindPGGate, Node: c.node, A: c.bus.Now() - c.activeSince})
 		}
 	case Gated:
-		c.stats.GatedCycles++
-		c.gatedFor++
 		if c.faultIgnoreWakeups {
 			return
 		}
@@ -266,7 +274,7 @@ func (c *Controller) Step(in Inputs) {
 			} else {
 				c.stats.WakeupsWU++
 			}
-			c.beginWake(in.PunchHold)
+			c.beginWake(now, in.PunchHold)
 		}
 	case Waking:
 		c.stats.WakingCycles++
@@ -291,19 +299,21 @@ func (c *Controller) setState(s State) {
 	c.level.Put(s == Gated || s == Waking)
 }
 
-func (c *Controller) beginWake(punch bool) {
+func (c *Controller) beginWake(now int64, punch bool) {
 	c.setState(Waking)
 	// The WU was observed this cycle (counted Gated); wakeup-1 further
 	// Waking cycles make the router usable exactly Twakeup cycles after
 	// the WU assertion.
 	c.wakeCnt = c.wakeup - 1
+	gatedFor := now - c.gatedAt
+	c.stats.GatedCycles += gatedFor
 	c.stats.GatingEvents++
-	short := c.gatedFor < c.breakEven
+	short := gatedFor < c.breakEven
 	if short {
 		c.stats.ShortGatings++
 	}
 	if c.bus != nil {
-		ev := obs.Event{Kind: obs.KindPGWake, Node: c.node, A: c.gatedFor}
+		ev := obs.Event{Kind: obs.KindPGWake, Node: c.node, A: gatedFor}
 		if punch {
 			ev.B = 1
 		}
@@ -314,13 +324,13 @@ func (c *Controller) beginWake(punch bool) {
 	}
 	if c.adaptive {
 		if c.ewmaSamples == 0 {
-			c.gatedEWMA = float64(c.gatedFor)
+			c.gatedEWMA = float64(gatedFor)
 		} else {
-			c.gatedEWMA = throttleDecay*c.gatedEWMA + (1-throttleDecay)*float64(c.gatedFor)
+			c.gatedEWMA = throttleDecay*c.gatedEWMA + (1-throttleDecay)*float64(gatedFor)
 		}
 		c.ewmaSamples++
 		if c.ewmaSamples >= throttleMinSamples && c.gatedEWMA < float64(c.breakEven) {
-			c.throttleLeft = throttleWindow
+			c.throttleUntil = now + throttleWindow
 			c.ewmaSamples = 0 // re-sample fresh after the pause
 		}
 	}
@@ -330,50 +340,15 @@ func (c *Controller) beginWake(punch bool) {
 }
 
 // Parked reports whether the controller has reached a fixed point under
-// idle inputs: it is disabled (No-PG, Step is a no-op) or Gated (each
-// idle Step only bumps the gated counters, which AdvanceIdleGated
-// batches). The active-set scheduler retires a node only once its
-// controller is parked, so a retired node's State and PG level stay
-// exact while it is skipped.
+// idle inputs: it is disabled (No-PG) or Gated, and either way Step with
+// an empty datapath, no wakeup and no punch hold changes nothing. The
+// active-set scheduler retires a node only once its controller is
+// parked, so a retired node's State, PG level and Stats stay exact while
+// it is skipped.
 func (c *Controller) Parked() bool { return !c.enabled || c.state == Gated }
-
-// AdvanceIdleGated applies n cycles of Step with a parked controller's
-// only possible inputs (empty datapath, no wakeup, no punch hold) in one
-// call. For a Gated controller each such Step increments the gated-cycle
-// counters and drains the adaptive-throttle window; for a disabled
-// controller Step is a no-op. The active-set scheduler uses it to charge
-// a retired node's skipped cycles; the result is bit-identical to n
-// individual Step calls. It panics on an enabled controller that is not
-// Gated: such a controller is not parked, and the scheduler must never
-// have retired its node.
-func (c *Controller) AdvanceIdleGated(n int64) {
-	if !c.enabled || n <= 0 {
-		return
-	}
-	if c.state != Gated {
-		panic(fmt.Sprintf("pg: AdvanceIdleGated in state %v", c.state))
-	}
-	if c.throttleLeft > 0 {
-		c.throttleLeft -= n
-		if c.throttleLeft < 0 {
-			c.throttleLeft = 0
-		}
-	}
-	c.stats.GatedCycles += n
-	c.gatedFor += n
-}
 
 // SetFaultIgnoreWakeups installs a deliberate defect: a gated controller
 // ignores WU and punch-hold levels and never wakes. It exists solely so
 // the invariant engine's power-gating safety checks can be demonstrated
 // against a real failure; see config.Faults.
 func (c *Controller) SetFaultIgnoreWakeups(v bool) { c.faultIgnoreWakeups = v }
-
-// ForceWake immediately begins waking a gated router, as a WU level
-// would, but without one. Only the controller's own tests call it; no
-// simulator path uses it.
-func (c *Controller) ForceWake() {
-	if c.state == Gated {
-		c.beginWake(false)
-	}
-}

@@ -10,12 +10,26 @@ import (
 // idle is the all-clear input.
 var idle = Inputs{Empty: true}
 
-func newCtl() *Controller { return New(true, 4, 8, 10) }
+// ctl is a controller under test with its own clock: step runs Step
+// for the next cycle, stats reads Stats through the last stepped one.
+type ctl struct {
+	*Controller
+	now int64
+}
+
+func (c *ctl) step(in Inputs) {
+	c.Step(c.now, in)
+	c.now++
+}
+
+func (c *ctl) stats() Stats { return c.Stats(c.now - 1) }
+
+func newCtl() *ctl { return &ctl{Controller: New(true, 4, 8, 10)} }
 
 func TestDisabledControllerStaysActive(t *testing.T) {
-	c := New(false, 0, 0, 0)
+	c := &ctl{Controller: New(false, 0, 0, 0)}
 	for i := 0; i < 100; i++ {
-		c.Step(idle)
+		c.step(idle)
 	}
 	if c.State() != Active || !c.IsOn() || c.PGAsserted() {
 		t.Errorf("disabled controller changed state: %v", c.State())
@@ -25,7 +39,7 @@ func TestDisabledControllerStaysActive(t *testing.T) {
 func TestGatesAfterTimeout(t *testing.T) {
 	c := newCtl()
 	for i := 0; i < 3; i++ {
-		c.Step(idle)
+		c.step(idle)
 		if c.State() == Gated {
 			t.Fatalf("gated after %d idle cycles (timeout 4)", i+1)
 		}
@@ -33,7 +47,7 @@ func TestGatesAfterTimeout(t *testing.T) {
 			t.Fatalf("draining controller must remain on")
 		}
 	}
-	c.Step(idle)
+	c.step(idle)
 	if c.State() != Gated {
 		t.Fatalf("not gated after 4 idle cycles: %v", c.State())
 	}
@@ -44,16 +58,16 @@ func TestGatesAfterTimeout(t *testing.T) {
 
 func TestActivityResetsTimeout(t *testing.T) {
 	c := newCtl()
-	c.Step(idle)
-	c.Step(idle)
-	c.Step(Inputs{Empty: false}) // traffic resets the countdown
+	c.step(idle)
+	c.step(idle)
+	c.step(Inputs{Empty: false}) // traffic resets the countdown
 	for i := 0; i < 3; i++ {
-		c.Step(idle)
+		c.step(idle)
 	}
 	if c.State() == Gated {
 		t.Error("countdown must restart after activity")
 	}
-	c.Step(idle)
+	c.step(idle)
 	if c.State() != Gated {
 		t.Error("should gate after 4 fresh idle cycles")
 	}
@@ -62,7 +76,7 @@ func TestActivityResetsTimeout(t *testing.T) {
 func TestWakeupLevelPreventsGating(t *testing.T) {
 	c := newCtl()
 	for i := 0; i < 20; i++ {
-		c.Step(Inputs{Empty: true, Wakeup: true})
+		c.step(Inputs{Empty: true, Wakeup: true})
 	}
 	if c.State() != Active {
 		t.Errorf("WU level must hold the router active: %v", c.State())
@@ -72,20 +86,20 @@ func TestWakeupLevelPreventsGating(t *testing.T) {
 func TestPunchHoldPreventsGating(t *testing.T) {
 	c := newCtl()
 	for i := 0; i < 20; i++ {
-		c.Step(Inputs{Empty: true, PunchHold: true})
+		c.step(Inputs{Empty: true, PunchHold: true})
 	}
 	if c.State() != Active {
 		t.Errorf("punch hold must prevent gating: %v", c.State())
 	}
-	if s := c.Stats(); s.GatingEvents != 0 {
+	if s := c.stats(); s.GatingEvents != 0 {
 		t.Errorf("no gating events expected, got %d", s.GatingEvents)
 	}
 }
 
 // gate drives c to the Gated state.
-func gate(c *Controller) {
+func gate(c *ctl) {
 	for i := 0; i < 10; i++ {
-		c.Step(idle)
+		c.step(idle)
 	}
 }
 
@@ -97,12 +111,12 @@ func TestWakeupTakesExactlyTwakeupCycles(t *testing.T) {
 	if c.State() != Gated {
 		t.Fatal("setup failed")
 	}
-	c.Step(Inputs{Empty: true, Wakeup: true}) // cycle t
+	c.step(Inputs{Empty: true, Wakeup: true}) // cycle t
 	if c.State() != Waking {
 		t.Fatalf("state after WU: %v", c.State())
 	}
 	for i := 1; i < 8; i++ { // cycles t+1 .. t+7
-		c.Step(Inputs{Empty: true})
+		c.step(Inputs{Empty: true})
 		if i < 7 && c.State() != Waking {
 			t.Fatalf("cycle t+%d: %v, want waking", i, c.State())
 		}
@@ -115,11 +129,11 @@ func TestWakeupTakesExactlyTwakeupCycles(t *testing.T) {
 func TestPunchWakesGatedRouter(t *testing.T) {
 	c := newCtl()
 	gate(c)
-	c.Step(Inputs{Empty: true, PunchHold: true})
+	c.step(Inputs{Empty: true, PunchHold: true})
 	if c.State() != Waking {
 		t.Fatalf("punch must wake: %v", c.State())
 	}
-	s := c.Stats()
+	s := c.stats()
 	if s.WakeupsPunch != 1 || s.WakeupsWU != 0 {
 		t.Errorf("wakeup attribution: %+v", s)
 	}
@@ -129,10 +143,10 @@ func TestShortGatingCounted(t *testing.T) {
 	c := newCtl()
 	gate(c)
 	// Wake after only 3 gated cycles: below the 10-cycle break-even.
-	c.Step(idle)
-	c.Step(idle)
-	c.Step(Inputs{Empty: true, Wakeup: true})
-	s := c.Stats()
+	c.step(idle)
+	c.step(idle)
+	c.step(Inputs{Empty: true, Wakeup: true})
+	s := c.stats()
 	if s.GatingEvents != 1 || s.ShortGatings != 1 {
 		t.Errorf("expected one short gating event: %+v", s)
 	}
@@ -142,15 +156,15 @@ func TestLongGatingNotShort(t *testing.T) {
 	c := newCtl()
 	gate(c)
 	for i := 0; i < 20; i++ {
-		c.Step(idle)
+		c.step(idle)
 	}
-	c.Step(Inputs{Empty: true, Wakeup: true})
-	if s := c.Stats(); s.ShortGatings != 0 {
+	c.step(Inputs{Empty: true, Wakeup: true})
+	if s := c.stats(); s.ShortGatings != 0 {
 		t.Errorf("20-cycle gating flagged short: %+v", s)
 	}
 }
 
-func TestForceWake(t *testing.T) {
+func TestPGLevelFollowsWake(t *testing.T) {
 	// The controller keeps bit 67 of a two-word summary at PGAsserted.
 	level := make([]uint64, 2)
 	c := newCtl()
@@ -159,23 +173,59 @@ func TestForceWake(t *testing.T) {
 	if !workset.Has(level, 67) {
 		t.Fatal("gated controller left its pgLevel bit clear")
 	}
-	c.ForceWake()
+	c.step(Inputs{Empty: true, Wakeup: true})
 	if c.State() != Waking {
-		t.Errorf("ForceWake: %v", c.State())
+		t.Errorf("after a WU input: %v, want waking", c.State())
 	}
 	if !workset.Has(level, 67) {
-		t.Error("ForceWake cleared the pgLevel bit of a waking router")
+		t.Error("waking router's pgLevel bit was cleared")
 	}
 	for i := 1; i < 8; i++ {
-		c.Step(idle)
+		c.step(idle)
 	}
 	if c.State() != Active || level[0] != 0 || level[1] != 0 {
 		t.Errorf("woken router: state %v, pgLevel words %x", c.State(), level)
 	}
-	c2 := newCtl()
-	c2.ForceWake() // no-op when active
-	if c2.State() != Active {
-		t.Errorf("ForceWake on active: %v", c2.State())
+}
+
+// TestStatsCountsOpenGatedPeriod pins Stats(t) against a per-step count
+// of the cycles Step found the controller Gated, at every cycle of a
+// gated period and after it closes, and checks that a Gated controller
+// left unstepped for a stretch reads the same as one stepped through it.
+func TestStatsCountsOpenGatedPeriod(t *testing.T) {
+	c := newCtl()
+	var perStep int64
+	for i := 0; i < 40; i++ {
+		in := idle
+		if i == 30 {
+			in.Wakeup = true
+		}
+		if c.State() == Gated {
+			perStep++
+		}
+		c.step(in)
+		if got := c.stats().GatedCycles; got != perStep {
+			t.Fatalf("cycle %d (%v): Stats counts %d gated cycles, per-step count %d", c.now-1, c.State(), got, perStep)
+		}
+	}
+	if perStep == 0 || c.stats().GatingEvents != 1 {
+		t.Fatalf("scenario did not gate and wake once: %+v", c.stats())
+	}
+
+	stepped, skipped := newCtl(), newCtl()
+	gate(stepped)
+	gate(skipped)
+	for i := 0; i < 100; i++ {
+		stepped.step(idle)
+	}
+	skipped.now = stepped.now
+	if stepped.stats() != skipped.stats() {
+		t.Errorf("open period: stepped %+v, unstepped %+v", stepped.stats(), skipped.stats())
+	}
+	stepped.step(Inputs{Empty: true, Wakeup: true})
+	skipped.step(Inputs{Empty: true, Wakeup: true})
+	if stepped.stats() != skipped.stats() {
+		t.Errorf("closed period: stepped %+v, unstepped %+v", stepped.stats(), skipped.stats())
 	}
 }
 
@@ -184,7 +234,7 @@ func TestHooksFire(t *testing.T) {
 	gates, wakes := 0, 0
 	c.SetHooks(func() { gates++ }, func() { wakes++ })
 	gate(c)
-	c.Step(Inputs{Empty: true, Wakeup: true})
+	c.step(Inputs{Empty: true, Wakeup: true})
 	if gates != 1 || wakes != 1 {
 		t.Errorf("hooks: gates=%d wakes=%d", gates, wakes)
 	}
@@ -216,7 +266,7 @@ func TestFSMInvariants(t *testing.T) {
 		prev := c.State()
 		for _, b := range seq {
 			in := Inputs{Empty: b&1 == 0, Wakeup: b&2 != 0, PunchHold: b&4 != 0}
-			c.Step(in)
+			c.step(in)
 			s := c.State()
 			if c.IsOn() == c.PGAsserted() {
 				return false
@@ -247,11 +297,11 @@ func TestFSMInvariants(t *testing.T) {
 func TestWakeRemaining(t *testing.T) {
 	c := newCtl()
 	gate(c)
-	c.Step(Inputs{Empty: true, Wakeup: true})
+	c.step(Inputs{Empty: true, Wakeup: true})
 	if c.WakeRemaining() != 7 {
 		t.Errorf("WakeRemaining = %d, want 7", c.WakeRemaining())
 	}
-	c.Step(idle)
+	c.step(idle)
 	if c.WakeRemaining() != 6 {
 		t.Errorf("WakeRemaining = %d, want 6", c.WakeRemaining())
 	}
@@ -280,21 +330,21 @@ func TestAdaptiveThrottleBacksOffOnChurn(t *testing.T) {
 			// Throttled: gating was refused, which is the point.
 			break
 		}
-		c.Step(idle)
-		c.Step(Inputs{Empty: true, Wakeup: true})
+		c.step(idle)
+		c.step(Inputs{Empty: true, Wakeup: true})
 		for c.State() == Waking {
-			c.Step(idle)
+			c.step(idle)
 		}
 	}
 	// With the EWMA now far below break-even, a timeout expiry must be
 	// vetoed.
 	for i := 0; i < 10; i++ {
-		c.Step(idle)
+		c.step(idle)
 	}
 	if c.State() == Gated {
 		t.Fatal("throttle did not veto gating after sustained churn")
 	}
-	if c.Stats().SleepsBlocked == 0 {
+	if c.stats().SleepsBlocked == 0 {
 		t.Error("vetoed sleeps not counted")
 	}
 }
@@ -309,14 +359,51 @@ func TestAdaptiveThrottleLeavesLongGatingsAlone(t *testing.T) {
 			t.Fatalf("event %d: gating refused despite healthy history", ev)
 		}
 		for i := 0; i < 40; i++ {
-			c.Step(idle)
+			c.step(idle)
 		}
-		c.Step(Inputs{Empty: true, Wakeup: true})
+		c.step(Inputs{Empty: true, Wakeup: true})
 		for c.State() == Waking {
-			c.Step(idle)
+			c.step(idle)
 		}
 	}
-	if c.Stats().SleepsBlocked != 0 {
-		t.Errorf("throttle engaged on healthy gating: %+v", c.Stats())
+	if c.stats().SleepsBlocked != 0 {
+		t.Errorf("throttle engaged on healthy gating: %+v", c.stats())
+	}
+}
+
+// TestAdaptiveThrottleWindowEdge pins the throttle's window: once churn
+// engages it at the wake of cycle tw, gating is refused through cycle
+// tw+4095 and allowed again at tw+4096.
+func TestAdaptiveThrottleWindowEdge(t *testing.T) {
+	c := newCtl()
+	c.SetAdaptiveThrottle(true)
+	// Four 1-cycle gated periods (far below BET=10) fill the EWMA's
+	// minimum sample count; the fourth wake engages the throttle.
+	var tw int64
+	for ev := 0; ev < throttleMinSamples; ev++ {
+		for c.State() != Gated {
+			if c.now > 100*throttleMinSamples {
+				t.Fatalf("event %d: never gated", ev)
+			}
+			c.step(idle)
+		}
+		c.step(Inputs{Empty: true, Wakeup: true})
+		tw = c.now - 1
+		for c.State() == Waking {
+			c.step(idle)
+		}
+	}
+	for c.now <= tw+throttleWindow-1 {
+		c.step(idle)
+		if c.State() == Gated {
+			t.Fatalf("gated at cycle tw+%d, inside the throttle window", c.now-1-tw)
+		}
+	}
+	if c.stats().SleepsBlocked == 0 {
+		t.Fatal("throttle never vetoed a sleep")
+	}
+	c.step(idle)
+	if c.State() != Gated {
+		t.Errorf("cycle tw+%d: %v, want gated once the window closes", c.now-1-tw, c.State())
 	}
 }

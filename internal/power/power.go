@@ -5,8 +5,8 @@
 // crossbar traversal, link traversal), static energy per cycle per
 // powered-on router, and power-gating overhead per sleep/wake transition.
 //
-// The ledger is one set of integer event counters per router. Each
-// charge increments exactly one counter; the per-component
+// The ledger is one row of integer event counters for the whole
+// network. Each charge increments exactly one counter; the per-component
 // ComponentBreakdown (buffers, crossbar, allocators, clock tree, links,
 // punch channel, WU handshake, gate overhead) multiplies the summed
 // counts by the calibrated energies, and the aggregate Breakdown
@@ -114,17 +114,6 @@ func (c Constants) EGatingOverhead() float64 {
 	return float64(c.BreakEvenCycles) * c.EStaticCycle()
 }
 
-// RouterState is the power-relevant state of a router during a cycle.
-type RouterState int
-
-// Power-relevant router states. WakingUp routers leak like powered-on
-// ones (the rail is charging) but cannot do work.
-const (
-	On RouterState = iota
-	Gated
-	WakingUp
-)
-
 // Breakdown is an energy decomposition in joules, matching the three bars
 // of the paper's Figure 11.
 type Breakdown struct {
@@ -163,27 +152,24 @@ const (
 	numEvents
 )
 
-// eventCounters is one router's integer event counters, indexed by
-// Event.
-type eventCounters [numEvents]int64
-
-// Accountant accumulates energy for a network of routers as per-router
-// integer event counters. It is not concurrency-safe; the simulator
-// drives it from the single cycle loop. Integer sums are
+// Accountant accumulates energy for a network of routers as one row of
+// integer event counters, indexed by Event. It is not concurrency-safe;
+// the simulator drives it from the single cycle loop. Integer sums are
 // order-insensitive, so both tick engines end with the same counts.
 type Accountant struct {
 	C       Constants
 	enabled bool
 
-	perRouter []eventCounters
-	cycles    int64 // enabled cycles accumulated
+	routers int
+	counts  [numEvents]int64
+	cycles  int64 // enabled cycles accumulated
 }
 
 // NewAccountant returns an accountant for n routers using constants c.
 // Accounting starts disabled (warmup); call SetEnabled(true) at the start
 // of the measurement window.
 func NewAccountant(n int, c Constants) *Accountant {
-	return &Accountant{C: c, perRouter: make([]eventCounters, n)}
+	return &Accountant{C: c, routers: n}
 }
 
 // SetEnabled turns accounting on or off (off during warmup and drain of
@@ -193,86 +179,56 @@ func (a *Accountant) SetEnabled(v bool) { a.enabled = v }
 // Enabled reports whether accounting is active.
 func (a *Accountant) Enabled() bool { return a.enabled }
 
-// charge adds n occurrences of ev at router r while accounting is on.
-func (a *Accountant) charge(r int, ev Event, n int64) {
+// charge adds one occurrence of ev while accounting is on.
+func (a *Accountant) charge(ev Event) {
 	if a.enabled {
-		a.perRouter[r][ev] += n
+		a.counts[ev]++
 	}
-}
-
-// totals sums the per-router counters.
-func (a *Accountant) totals() eventCounters {
-	var t eventCounters
-	for i := range a.perRouter {
-		for ev, v := range &a.perRouter[i] {
-			t[ev] += v
-		}
-	}
-	return t
 }
 
 // Count returns the network-wide count of event ev.
-func (a *Accountant) Count(ev Event) int64 {
-	t := a.totals()
-	return t[ev]
-}
+func (a *Accountant) Count(ev Event) int64 { return a.counts[ev] }
 
-// TickStatic charges one cycle of leakage for router r in state s, and
-// must be called exactly once per router per cycle. Powered-on (and
-// waking) routers additionally draw the clock tree's dynamic energy
-// when the calibration models it.
-func (a *Accountant) TickStatic(r int, s RouterState) { a.TickStaticN(r, s, 1) }
-
-// TickStaticN charges n cycles of leakage for router r in state s, as if
-// TickStatic had been called n times. The active-set scheduler uses it to
-// catch a skipped (parked) router up.
-func (a *Accountant) TickStaticN(r int, s RouterState, n int64) {
-	if n <= 0 {
-		return
-	}
-	if s == Gated {
-		a.charge(r, EvGatedCycle, n)
-	} else {
-		a.charge(r, EvOnCycle, n)
-	}
-}
-
-// TickCycle advances the accountant's notion of elapsed measured time by
-// one cycle. Call once per network cycle.
-func (a *Accountant) TickCycle() {
+// TickCycle closes one network cycle in which gated of the routers were
+// power-gated: it charges gated router-cycles of gated leakage and the
+// rest as powered on (waking routers leak like powered-on ones, the rail
+// is charging, and also draw the clock tree's dynamic energy when the
+// calibration models it). Call exactly once per network cycle.
+func (a *Accountant) TickCycle(gated int) {
 	if a.enabled {
 		a.cycles++
+		a.counts[EvGatedCycle] += int64(gated)
+		a.counts[EvOnCycle] += int64(a.routers - gated)
 	}
 }
 
 // Cycles returns the number of measured cycles.
 func (a *Accountant) Cycles() int64 { return a.cycles }
 
-// BufferWrite charges a flit buffer write at router r (component:
-// input buffers).
-func (a *Accountant) BufferWrite(r int) { a.charge(r, EvBufferWrite, 1) }
+// BufferWrite charges a flit buffer write (component: input buffers).
+func (a *Accountant) BufferWrite() { a.charge(EvBufferWrite) }
 
 // Traverse charges a flit's buffer read, arbitration, and crossbar
-// traversal at router r — the switch-traversal event, spanning the
-// buffer, allocator, and crossbar components.
-func (a *Accountant) Traverse(r int) { a.charge(r, EvTraverse, 1) }
+// traversal — the switch-traversal event, spanning the buffer,
+// allocator, and crossbar components.
+func (a *Accountant) Traverse() { a.charge(EvTraverse) }
 
-// LinkHop charges a flit's traversal of one inter-router link, attributed
-// to the sending router r (component: links).
-func (a *Accountant) LinkHop(r int) { a.charge(r, EvLink, 1) }
+// LinkHop charges a flit's traversal of one inter-router link
+// (component: links).
+func (a *Accountant) LinkHop() { a.charge(EvLink) }
 
-// PunchHop charges one cycle of punch-channel assertion leaving router r
-// (component: punch channel; overhead class).
-func (a *Accountant) PunchHop(r int) { a.charge(r, EvPunchHop, 1) }
+// PunchHop charges one cycle of punch-channel assertion (component:
+// punch channel; overhead class).
+func (a *Accountant) PunchHop() { a.charge(EvPunchHop) }
 
-// WakeupSignal charges one WU/PG handshake assertion at router r
-// (component: wakeup signalling; overhead class).
-func (a *Accountant) WakeupSignal(r int) { a.charge(r, EvWakeupSig, 1) }
+// WakeupSignal charges one WU/PG handshake assertion (component: wakeup
+// signalling; overhead class).
+func (a *Accountant) WakeupSignal() { a.charge(EvWakeupSig) }
 
 // GatingEvent charges the sleep/wake round-trip overhead of one
-// power-gating event at router r (charged when the router begins
-// waking; component: gate).
-func (a *Accountant) GatingEvent(r int) { a.charge(r, EvGating, 1) }
+// power-gating event (charged when the router begins waking; component:
+// gate).
+func (a *Accountant) GatingEvent() { a.charge(EvGating) }
 
 // Network returns the network-wide aggregate breakdown: the component
 // breakdown summed into its three classes.
@@ -281,14 +237,14 @@ func (a *Accountant) Network() Breakdown {
 	return b.Classes()
 }
 
-// Components returns the network-wide per-component breakdown: the
-// per-router counters are summed, then each count is multiplied once by
-// its calibrated energy. Being a pure function of integer counters, the
-// result is bit-identical across tick engines.
+// Components returns the network-wide per-component breakdown: each
+// count is multiplied once by its calibrated energy. Being a pure
+// function of integer counters, the result is bit-identical across tick
+// engines.
 func (a *Accountant) Components() ComponentBreakdown {
 	var b ComponentBreakdown
 	c := a.C
-	n := a.totals()
+	n := &a.counts
 	b[CompBuffer].Dynamic = float64(n[EvBufferWrite])*c.EBufferWrite + float64(n[EvTraverse])*c.EBufferRead
 	b[CompCrossbar].Dynamic = float64(n[EvTraverse]) * c.ECrossbar
 	b[CompAlloc].Dynamic = float64(n[EvTraverse]) * c.EArbitration
@@ -329,7 +285,7 @@ func (a *Accountant) StaticSavedFrac() float64 {
 	if a.cycles == 0 {
 		return 0
 	}
-	baseline := float64(len(a.perRouter)) * float64(a.cycles) * a.C.EStaticCycle()
+	baseline := float64(a.routers) * float64(a.cycles) * a.C.EStaticCycle()
 	if baseline == 0 {
 		return 0
 	}

@@ -24,10 +24,10 @@ func TestGatingForBreakEvenCyclesIsEnergyNeutral(t *testing.T) {
 	on.SetEnabled(true)
 	gated.SetEnabled(true)
 	for i := 0; i < c.BreakEvenCycles; i++ {
-		on.TickStatic(0, On)
-		gated.TickStatic(0, Gated)
+		on.TickCycle(0)
+		gated.TickCycle(1)
 	}
-	gated.GatingEvent(0)
+	gated.GatingEvent()
 	eA, eB := on.Network(), gated.Network()
 	if math.Abs((eA.Static+eA.Overhead)-(eB.Static+eB.Overhead)) > 1e-18 {
 		t.Errorf("break-even violated: on=%g gated=%g", eA.Static+eA.Overhead, eB.Static+eB.Overhead)
@@ -36,16 +36,14 @@ func TestGatingForBreakEvenCyclesIsEnergyNeutral(t *testing.T) {
 
 func TestDisabledAccountantChargesNothing(t *testing.T) {
 	a := NewAccountant(1, DefaultConstants())
-	a.TickStatic(0, On)
-	a.TickStatic(0, Gated)
-	a.TickStaticN(0, On, 5)
-	a.BufferWrite(0)
-	a.Traverse(0)
-	a.LinkHop(0)
-	a.PunchHop(0)
-	a.WakeupSignal(0)
-	a.GatingEvent(0)
-	a.TickCycle()
+	a.TickCycle(0)
+	a.TickCycle(1)
+	a.BufferWrite()
+	a.Traverse()
+	a.LinkHop()
+	a.PunchHop()
+	a.WakeupSignal()
+	a.GatingEvent()
 	if got := a.Components(); got != (ComponentBreakdown{}) {
 		t.Errorf("disabled accountant accumulated %+v", got)
 	}
@@ -63,9 +61,9 @@ func TestEventEnergies(t *testing.T) {
 	c := DefaultConstants()
 	a := NewAccountant(1, c)
 	a.SetEnabled(true)
-	a.BufferWrite(0)
-	a.Traverse(0)
-	a.LinkHop(0)
+	a.BufferWrite()
+	a.Traverse()
+	a.LinkHop()
 	want := c.EBufferWrite + c.EBufferRead + c.EArbitration + c.ECrossbar + c.ELink
 	if got := a.Network().Dynamic; math.Abs(got-want) > 1e-18 {
 		t.Errorf("dynamic = %g, want %g", got, want)
@@ -75,23 +73,12 @@ func TestEventEnergies(t *testing.T) {
 	}
 }
 
-func TestWakingLeaksLikeOn(t *testing.T) {
-	on, waking := NewAccountant(1, DefaultConstants()), NewAccountant(1, DefaultConstants())
-	on.SetEnabled(true)
-	waking.SetEnabled(true)
-	on.TickStatic(0, On)
-	waking.TickStatic(0, WakingUp)
-	if on.Components() != waking.Components() {
-		t.Error("a waking router must leak like a powered-on one")
-	}
-}
-
 func TestGatedLeakFraction(t *testing.T) {
 	c := DefaultConstants()
 	c.GatedLeakFrac = 0.1
 	a := NewAccountant(1, c)
 	a.SetEnabled(true)
-	a.TickStatic(0, Gated)
+	a.TickCycle(1)
 	want := 0.1 * c.EStaticCycle()
 	if got := a.Network().Static; math.Abs(got-want) > 1e-20 {
 		t.Errorf("gated leak = %g, want %g", got, want)
@@ -105,11 +92,10 @@ func TestStaticSavedFrac(t *testing.T) {
 	// 100 cycles: 25 on, 75 gated, no overhead => 75% saved.
 	for i := 0; i < 100; i++ {
 		if i < 25 {
-			a.TickStatic(0, On)
+			a.TickCycle(0)
 		} else {
-			a.TickStatic(0, Gated)
+			a.TickCycle(1)
 		}
-		a.TickCycle()
 	}
 	if got := a.StaticSavedFrac(); math.Abs(got-0.75) > 1e-12 {
 		t.Errorf("StaticSavedFrac = %g, want 0.75", got)
@@ -123,8 +109,7 @@ func TestAvgStaticPowerAlwaysOn(t *testing.T) {
 	a := NewAccountant(1, c)
 	a.SetEnabled(true)
 	for i := 0; i < 1000; i++ {
-		a.TickStatic(0, On)
-		a.TickCycle()
+		a.TickCycle(0)
 	}
 	if got := a.AvgStaticPower(); math.Abs(got-c.PStaticRouter) > 1e-9 {
 		t.Errorf("AvgStaticPower = %g, want %g", got, c.PStaticRouter)
@@ -142,9 +127,9 @@ func TestBreakdownAdd(t *testing.T) {
 func TestNetworkAggregates(t *testing.T) {
 	a := NewAccountant(3, DefaultConstants())
 	a.SetEnabled(true)
-	a.BufferWrite(0)
-	a.BufferWrite(1)
-	a.BufferWrite(2)
+	a.BufferWrite()
+	a.BufferWrite()
+	a.BufferWrite()
 	want := 3 * a.C.EBufferWrite
 	if got := a.Network().Dynamic; math.Abs(got-want) > 1e-18 {
 		t.Errorf("network dynamic = %g, want %g", got, want)
@@ -224,15 +209,14 @@ func (b *ComponentBreakdown) at(x cell) float64 {
 // chargeCase is one charge and the joules it must land in each cell.
 type chargeCase struct {
 	name   string
-	charge func(a *Accountant, r int)
+	charge func(a *Accountant)
 	want   map[cell]float64
 }
 
 // TestChargesLandInOneComponent is the per-event ledger check: for
-// every preset, each charge method (and TickStatic in each power state)
-// must put exactly its hand-computed joules into exactly the expected
-// (component, class) cells and nothing anywhere else, whichever router
-// it is charged to.
+// every preset, each charge method (and TickCycle for a router in each
+// power state) must put exactly its hand-computed joules into exactly
+// the expected (component, class) cells and nothing anywhere else.
 func TestChargesLandInOneComponent(t *testing.T) {
 	const dyn, stat, ovh = 0, 1, 2
 	for _, name := range Presets() {
@@ -267,42 +251,42 @@ func TestChargesLandInOneComponent(t *testing.T) {
 			{CompClock, stat}:    c.StaticFracClock * leak,
 			{CompClock, dyn}:     c.EClockCycle,
 		}
+		// One router for one cycle: a waking router is not gated, so
+		// it leaks like a powered-on one.
 		for _, st := range []struct {
-			name string
-			s    RouterState
-			want map[cell]float64
+			name  string
+			gated int
+			want  map[cell]float64
 		}{
-			{"On", On, powered},
-			{"WakingUp", WakingUp, powered},
-			{"Gated", Gated, map[cell]float64{{CompGate, stat}: c.GatedLeakFrac * leak}},
+			{"On", 0, powered},
+			{"WakingUp", 0, powered},
+			{"Gated", 1, map[cell]float64{{CompGate, stat}: c.GatedLeakFrac * leak}},
 		} {
-			s := st.s
-			cases = append(cases, chargeCase{"TickStatic/" + st.name, func(a *Accountant, r int) { a.TickStatic(r, s) }, st.want})
+			gated := st.gated
+			cases = append(cases, chargeCase{"TickCycle/" + st.name, func(a *Accountant) { a.TickCycle(gated) }, st.want})
 		}
 
 		t.Run(name, func(t *testing.T) {
 			for _, tc := range cases {
-				for _, r := range []int{0, 2} {
-					a := NewAccountant(3, c)
-					a.SetEnabled(true)
-					tc.charge(a, r)
-					got := a.Components()
-					var wantClasses [3]float64
-					for comp := Component(0); comp < NumComponents; comp++ {
-						for class := 0; class < 3; class++ {
-							x := cell{comp, class}
-							g, w := got.at(x), tc.want[x]
-							wantClasses[class] += w
-							if w == 0 && g != 0 || w != 0 && math.Abs(g-w) > 1e-12*math.Abs(w) {
-								t.Errorf("%s at router %d: %v class %d = %g J, want %g J", tc.name, r, comp, class, g, w)
-							}
+				a := NewAccountant(1, c)
+				a.SetEnabled(true)
+				tc.charge(a)
+				got := a.Components()
+				var wantClasses [3]float64
+				for comp := Component(0); comp < NumComponents; comp++ {
+					for class := 0; class < 3; class++ {
+						x := cell{comp, class}
+						g, w := got.at(x), tc.want[x]
+						wantClasses[class] += w
+						if w == 0 && g != 0 || w != 0 && math.Abs(g-w) > 1e-12*math.Abs(w) {
+							t.Errorf("%s: %v class %d = %g J, want %g J", tc.name, comp, class, g, w)
 						}
 					}
-					net := a.Network()
-					for class, g := range [3]float64{net.Dynamic, net.Static, net.Overhead} {
-						if w := wantClasses[class]; math.Abs(g-w) > 1e-12*math.Abs(w) {
-							t.Errorf("%s at router %d: class %d total = %g J, want %g J", tc.name, r, class, g, w)
-						}
+				}
+				net := a.Network()
+				for class, g := range [3]float64{net.Dynamic, net.Static, net.Overhead} {
+					if w := wantClasses[class]; math.Abs(g-w) > 1e-12*math.Abs(w) {
+						t.Errorf("%s: class %d total = %g J, want %g J", tc.name, class, g, w)
 					}
 				}
 			}
@@ -310,24 +294,38 @@ func TestChargesLandInOneComponent(t *testing.T) {
 	}
 }
 
-func TestTickStaticNEqualsRepeatedTickStatic(t *testing.T) {
+// TestTickCycleChargesEveryRouter checks that one TickCycle(g) on an
+// n-router accountant charges every router once: g gated router-cycles
+// and n-g powered-on ones, the same counts and joules as n one-router
+// cycles in those states.
+func TestTickCycleChargesEveryRouter(t *testing.T) {
 	for _, name := range Presets() {
 		c, _ := PresetByName(name)
-		for _, s := range []RouterState{On, WakingUp, Gated} {
-			for _, n := range []int64{0, 1, 7, 1000} {
-				batched, single := NewAccountant(2, c), NewAccountant(2, c)
-				batched.SetEnabled(true)
-				single.SetEnabled(true)
-				batched.TickStaticN(1, s, n)
-				for i := int64(0); i < n; i++ {
-					single.TickStatic(1, s)
+		for _, n := range []int{1, 3, 64} {
+			for _, g := range []int{0, 1, n / 2, n} {
+				a := NewAccountant(n, c)
+				a.SetEnabled(true)
+				a.TickCycle(g)
+				one := NewAccountant(1, c)
+				one.SetEnabled(true)
+				for r := 0; r < n; r++ {
+					if r < g {
+						one.TickCycle(1)
+					} else {
+						one.TickCycle(0)
+					}
 				}
-				if batched.Components() != single.Components() {
-					t.Errorf("%s: TickStaticN(state %d, %d) != %d TickStatic calls", name, s, n, n)
+				if a.Count(EvGatedCycle) != int64(g) || a.Count(EvOnCycle) != int64(n-g) || a.Cycles() != 1 {
+					t.Errorf("%s: n=%d g=%d: %d gated, %d on router-cycles over %d cycles",
+						name, n, g, a.Count(EvGatedCycle), a.Count(EvOnCycle), a.Cycles())
 				}
-				for ev := Event(0); ev < numEvents; ev++ {
-					if batched.Count(ev) != single.Count(ev) {
-						t.Errorf("%s: state %d n=%d: event %d count %d != %d", name, s, n, ev, batched.Count(ev), single.Count(ev))
+				got, want := a.Components(), one.Components()
+				for comp := Component(0); comp < NumComponents; comp++ {
+					for class := 0; class < 3; class++ {
+						x := cell{comp, class}
+						if gj, wj := got.at(x), want.at(x); math.Abs(gj-wj) > 1e-12*math.Abs(wj) {
+							t.Errorf("%s: n=%d: %v class %d = %g J, want %g J", name, n, comp, class, gj, wj)
+						}
 					}
 				}
 			}

@@ -337,7 +337,7 @@ func (r *Router) ReceiveFlit(d mesh.Direction, vcIdx int, f *flit.Flit, now int6
 	}
 	r.buffered++
 	if r.acct != nil {
-		r.acct.BufferWrite(int(r.ID))
+		r.acct.BufferWrite()
 	}
 }
 
@@ -560,9 +560,9 @@ func (r *Router) stepST(now int64) {
 			op.FlitOut.Push(FlitInTransit{Flit: out, VC: ov}, now)
 			r.FlitsForwarded++
 			if r.acct != nil {
-				r.acct.Traverse(int(r.ID))
+				r.acct.Traverse()
 				if op.dir != mesh.Local {
-					r.acct.LinkHop(int(r.ID))
+					r.acct.LinkHop()
 				}
 			}
 			if r.forwardHook != nil && op.dir != mesh.Local && op.neighbor != mesh.Invalid {
@@ -700,10 +700,10 @@ func (r *Router) tryBypassGrant(v *vc, p int, now int64) bool {
 	r.FlitsForwarded++
 	r.FlitsBypassed++
 	if r.acct != nil {
-		r.acct.Traverse(int(r.ID))
-		r.acct.LinkHop(int(r.ID))
+		r.acct.Traverse()
+		r.acct.LinkHop()
 		if r.bypassEnergy != nil {
-			r.bypassEnergy.AttributeBypass(r.acct, int(r.ID))
+			r.bypassEnergy.AttributeBypass(r.acct)
 		}
 	}
 	if r.forwardHook != nil {

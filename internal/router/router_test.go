@@ -227,7 +227,7 @@ func TestGatedRouterDoesNothing(t *testing.T) {
 	r := router.New(5, meshRF(t, &cfg), &cfg, ctrl, nil)
 	// Gate the controller.
 	for i := 0; i < 5; i++ {
-		ctrl.Step(pg.Inputs{Empty: true})
+		ctrl.Step(int64(i), pg.Inputs{Empty: true})
 	}
 	if ctrl.IsOn() {
 		t.Fatal("setup: controller should be gated")
@@ -485,7 +485,7 @@ func TestBitsetsMatchProbe(t *testing.T) {
 				// The walks under test must all have had work to do.
 				var gatings, stalls, bypassed int64
 				for _, r := range n.Routers {
-					gatings += r.Ctrl.Stats().GatingEvents
+					gatings += r.Ctrl.Stats(n.Now() - 1).GatingEvents
 					stalls += r.PGStallCycles
 					bypassed += r.FlitsBypassed
 				}

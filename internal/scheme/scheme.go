@@ -56,24 +56,21 @@ type Policy interface {
 
 // Accountant is the narrow slice of the power model a policy's energy
 // attribution hooks may charge through (power.Accountant implements
-// it). Node IDs are plain ints.
+// it).
 type Accountant interface {
-	// LinkHop charges one link traversal's dynamic energy to router r.
-	LinkHop(r int)
-	// Traverse charges one crossbar traversal's dynamic energy to
-	// router r.
-	Traverse(r int)
+	// LinkHop charges one link traversal's dynamic energy.
+	LinkHop()
+	// Traverse charges one crossbar traversal's dynamic energy.
+	Traverse()
 }
 
 // BypassEnergy is implemented by bypass policies that charge the
 // detour's extra energy. The router invokes it at the granting
-// (upstream) router when a flit is sent onto a bypass path — the
-// charge lands on the sender so the float accumulation order is
-// identical across the active-set and full-walk engines.
+// (upstream) router when a flit is sent onto a bypass path.
 type BypassEnergy interface {
 	// AttributeBypass charges the energy of one bypass hop (the latch
-	// path through the gated router) against sender's accumulators.
-	AttributeBypass(a Accountant, sender int)
+	// path through the gated router).
+	AttributeBypass(a Accountant)
 }
 
 // UnknownSchemeError reports a scheme name that is not in the
@@ -163,12 +160,12 @@ func (f flat) Bypass() bool      { return f.bypass }
 // ConvOpt (long idle filter, early wakeup for turning traffic), but
 // straight-through flits detour around gated routers on a 1-cycle
 // latch path instead of waking them. The detour costs one extra link
-// hop of dynamic energy, charged at the sender.
+// hop of dynamic energy, charged when the upstream router grants it.
 type flyOver struct{ flat }
 
 // AttributeBypass implements BypassEnergy: the latch path through the
 // gated router is modeled as one additional link traversal.
-func (flyOver) AttributeBypass(a Accountant, sender int) { a.LinkHop(sender) }
+func (flyOver) AttributeBypass(a Accountant) { a.LinkHop() }
 
 func init() {
 	Register(flat{name: NoPG})
