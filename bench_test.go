@@ -200,7 +200,7 @@ func BenchmarkScalability(b *testing.B) {
 	var pts []experiments.ScalabilityPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = experiments.RunScalability(experiments.Quick, 1)
+		pts, err = experiments.RunScalability(experiments.SyntheticOptions{Fidelity: experiments.Quick, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -229,7 +229,7 @@ func BenchmarkAblationPunchDesign(b *testing.B) {
 	var pts []experiments.AblationPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = experiments.RunAblation(experiments.Quick, 1)
+		pts, err = experiments.RunAblation(experiments.SyntheticOptions{Fidelity: experiments.Quick, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

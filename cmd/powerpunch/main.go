@@ -15,6 +15,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -27,24 +28,24 @@ import (
 )
 
 func main() {
+	var p params
 	fig := flag.String("fig", "", "experiment id (see -list)")
 	list := flag.Bool("list", false, "list experiment ids")
 	full := flag.Bool("full", false, "paper-quality fidelity (slower)")
-	seed := flag.Int64("seed", 1, "simulation seed")
+	flag.Int64Var(&p.seed, "seed", 1, "simulation seed")
 	bench := flag.String("bench", "", "comma-separated benchmark subset for fig7-fig11")
-	hops := flag.Int("hops", 3, "punch hop count for fig13")
-	csvDir := flag.String("csv", "", "also write plot-ready CSV files into this directory (fig7-fig13)")
-	checks := flag.Bool("checks", false, "run with the cycle-level invariant engine enabled (slower; violations abort with a replayable artifact)")
-	fullTick := flag.Bool("fulltick", false, "use the full-walk tick scheduler instead of the active-set scheduler (bit-identical results)")
-	observe := flag.Bool("probes", false, "attach the counters probe to full-system runs and report the wakeup exposed/hidden split")
-	topoName := flag.String("topo", "", "fabric for the simulation-backed experiments: mesh|torus|ring (default: the paper's 8x8 mesh)")
-	width := flag.Int("width", 0, "fabric width, used with -topo (default 8)")
-	height := flag.Int("height", 0, "fabric height, used with -topo (default 8; must be 1 for -topo ring)")
-	powerPreset := flag.String("power-preset", "", "power-model calibration: "+strings.Join(powerpunch.PowerPresets(), "|")+" (default: the paper's "+powerpunch.DefaultPowerPreset+"; the golden baselines are pinned to it)")
+	flag.IntVar(&p.hops, "hops", 3, "punch hop count for fig13")
+	flag.StringVar(&p.csvDir, "csv", "", "also write plot-ready CSV files into this directory (fig7-fig13)")
+	flag.BoolVar(&p.ov.Checks, "checks", false, "run with the cycle-level invariant engine enabled (slower; violations abort with a replayable artifact)")
+	flag.BoolVar(&p.ov.FullTick, "fulltick", false, "use the full-walk tick scheduler instead of the active-set scheduler (bit-identical results)")
+	flag.BoolVar(&p.observe, "probes", false, "attach the counters probe to full-system runs and report the wakeup exposed/hidden split")
+	flag.StringVar(&p.ov.Topology, "topo", "", "fabric for the simulation-backed experiments: mesh|torus|ring (default: the paper's 8x8 mesh; golden and scale reject it)")
+	flag.IntVar(&p.ov.Width, "width", 0, "fabric width, used with -topo (default 8)")
+	flag.IntVar(&p.ov.Height, "height", 0, "fabric height, used with -topo (default 8; must be 1 for -topo ring)")
+	flag.StringVar(&p.ov.PowerPreset, "power-preset", "", "power-model calibration: "+strings.Join(powerpunch.PowerPresets(), "|")+" (default: the paper's "+powerpunch.DefaultPowerPreset+"; the golden baselines are pinned to it, so golden rejects any other)")
 	schemeList := flag.String("scheme", "", "comma-separated scheme subset for the scheme-parameterized experiments (fig12, heatmap): "+strings.Join(powerpunch.SchemeNames(), "|")+" (default: each experiment's paper set)")
 	flag.Parse()
 
-	var schemes []config.Scheme
 	if *schemeList != "" {
 		for _, name := range strings.Split(*schemeList, ",") {
 			s, err := config.SchemeByName(strings.TrimSpace(name))
@@ -52,36 +53,14 @@ func main() {
 				fmt.Fprintf(os.Stderr, "powerpunch: %v\n", err)
 				os.Exit(2)
 			}
-			schemes = append(schemes, s)
+			p.schemes = append(p.schemes, s)
 		}
 	}
 
-	experiments.EnableChecks = *checks
-	experiments.FullTick = *fullTick
-	observeFullSystem = *observe
-
-	if *powerPreset != "" {
-		if err := experiments.SetPowerPreset(*powerPreset); err != nil {
-			fmt.Fprintf(os.Stderr, "powerpunch: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
-	if *topoName != "" || *width != 0 || *height != 0 {
-		w, h := *width, *height
-		if w == 0 {
-			w = 8
-		}
-		if h == 0 {
-			h = 8
-			if *topoName == "ring" {
-				h = 1
-			}
-		}
-		if err := experiments.SetFabric(*topoName, w, h); err != nil {
-			fmt.Fprintf(os.Stderr, "powerpunch: %v\n", err)
-			os.Exit(2)
-		}
+	var err error
+	if p.ov, err = resolveOverrides(p.ov); err != nil {
+		fmt.Fprintf(os.Stderr, "powerpunch: %v\n", err)
+		os.Exit(2)
 	}
 
 	if *list || *fig == "" {
@@ -95,13 +74,11 @@ func main() {
 		return
 	}
 
-	fid := experiments.Quick
 	if *full {
-		fid = experiments.Full
+		p.fid = experiments.Full
 	}
-	var benches []string
 	if *bench != "" {
-		benches = strings.Split(*bench, ",")
+		p.benches = strings.Split(*bench, ",")
 	}
 
 	ids := strings.Split(*fig, ",")
@@ -114,7 +91,7 @@ func main() {
 
 	for _, id := range ids {
 		start := time.Now()
-		out, err := run(id, fid, *seed, benches, *hops, *csvDir, schemes)
+		out, err := p.run(id)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "powerpunch: %s: %v\n", id, err)
 			os.Exit(1)
@@ -122,6 +99,20 @@ func main() {
 		fmt.Println(out)
 		fmt.Printf("[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
+}
+
+// resolveOverrides completes the run-wide flags into experiment
+// overrides and validates them. Any of -topo/-width/-height selects a
+// fabric; an unset width defaults to 8, an unset height to 8, or to 1
+// for -topo ring.
+func resolveOverrides(ov experiments.Overrides) (experiments.Overrides, error) {
+	if ov.Topology != "" || ov.Width != 0 || ov.Height != 0 {
+		if ov.Height == 0 && ov.Topology == "ring" {
+			ov.Height = 1
+		}
+		ov.Width, ov.Height = cmp.Or(ov.Width, 8), cmp.Or(ov.Height, 8)
+	}
+	return ov, ov.Validate()
 }
 
 // writeCSV writes one CSV artifact into dir (no-op when dir is empty).
@@ -140,40 +131,41 @@ func writeCSV(dir, name string, fn func(w *os.File) error) error {
 	return fn(f)
 }
 
-// fullSystemCache avoids re-running the shared fig7-fig11 simulations
-// within one `-fig all` invocation.
-var fullSystemCache []experiments.BenchResult
+// params are one invocation's settings, shared by every experiment
+// it runs.
+type params struct {
+	fid     experiments.Fidelity
+	seed    int64
+	benches []string
+	hops    int
+	csvDir  string
+	schemes []config.Scheme
+	observe bool // -probes: full-system runs report the wakeup exposed/hidden split
+	ov      experiments.Overrides
 
-// observeFullSystem mirrors the -probes flag: full-system runs attach
-// the counters probe, so fig9/fig10 can report the wakeup
-// exposed-vs-hidden split alongside the blocking averages.
-var observeFullSystem bool
-
-func fullSystem(fid experiments.Fidelity, seed int64, benches []string) ([]experiments.BenchResult, error) {
-	if fullSystemCache != nil {
-		return fullSystemCache, nil
-	}
-	res, err := experiments.RunFullSystem(experiments.FullSystemOptions{
-		Fidelity: fid, Seed: seed, Benchmarks: benches, Observe: observeFullSystem,
-	})
-	if err == nil {
-		fullSystemCache = res
-	}
-	return res, err
+	// fullSystem caches the fig7-fig11 simulations, which they share
+	// within one invocation.
+	fullSystem []experiments.BenchResult
 }
 
-func run(id string, fid experiments.Fidelity, seed int64, benches []string, hops int, csvDir string, schemes []config.Scheme) (string, error) {
+func (p *params) run(id string) (string, error) {
+	synthetic := experiments.SyntheticOptions{Fidelity: p.fid, Seed: p.seed, Overrides: p.ov}
 	switch id {
 	case "table1":
 		return experiments.FormatTable1(), nil
 	case "table2":
 		return experiments.FormatTable2(), nil
 	case "fig7", "fig8", "fig9", "fig10", "fig11":
-		res, err := fullSystem(fid, seed, benches)
-		if err != nil {
-			return "", err
+		if p.fullSystem == nil {
+			var err error
+			if p.fullSystem, err = experiments.RunFullSystem(experiments.FullSystemOptions{
+				Fidelity: p.fid, Seed: p.seed, Benchmarks: p.benches, Observe: p.observe, Overrides: p.ov,
+			}); err != nil {
+				return "", err
+			}
 		}
-		if err := writeCSV(csvDir, "fullsystem.csv", func(w *os.File) error {
+		res := p.fullSystem
+		if err := writeCSV(p.csvDir, "fullsystem.csv", func(w *os.File) error {
 			return experiments.WriteFullSystemCSV(w, res)
 		}); err != nil {
 			return "", err
@@ -195,28 +187,32 @@ func run(id string, fid experiments.Fidelity, seed int64, benches []string, hops
 		if err != nil {
 			return "", err
 		}
-		res, err := experiments.RunGolden(g)
+		o, err := g.Options(p.ov)
+		if err != nil {
+			return "", err
+		}
+		res, err := experiments.RunFullSystem(o)
 		if err != nil {
 			return "", err
 		}
 		return experiments.FormatGolden(g, res), nil
 	case "fig12":
-		pts, err := experiments.RunLoadSweep(experiments.LoadSweepOptions{Fidelity: fid, Seed: seed, Schemes: schemes})
+		pts, err := experiments.RunLoadSweep(experiments.LoadSweepOptions{Fidelity: p.fid, Seed: p.seed, Schemes: p.schemes, Overrides: p.ov})
 		if err != nil {
 			return "", err
 		}
-		if err := writeCSV(csvDir, "loadsweep.csv", func(w *os.File) error {
+		if err := writeCSV(p.csvDir, "loadsweep.csv", func(w *os.File) error {
 			return experiments.WriteLoadSweepCSV(w, pts)
 		}); err != nil {
 			return "", err
 		}
-		return experiments.FormatFig12(pts, schemes), nil
+		return experiments.FormatFig12(pts, p.schemes), nil
 	case "fig13":
-		pts, err := experiments.RunSensitivity(experiments.SensitivityOptions{Fidelity: fid, Seed: seed, PunchHops: hops})
+		pts, err := experiments.RunSensitivity(experiments.SensitivityOptions{Fidelity: p.fid, Seed: p.seed, PunchHops: p.hops, Overrides: p.ov})
 		if err != nil {
 			return "", err
 		}
-		if err := writeCSV(csvDir, "sensitivity.csv", func(w *os.File) error {
+		if err := writeCSV(p.csvDir, "sensitivity.csv", func(w *os.File) error {
 			return experiments.WriteSensitivityCSV(w, pts)
 		}); err != nil {
 			return "", err
@@ -224,12 +220,12 @@ func run(id string, fid experiments.Fidelity, seed int64, benches []string, hops
 		return experiments.FormatFig13(pts), nil
 	case "heatmap":
 		var out string
-		hs := schemes
+		hs := p.schemes
 		if len(hs) == 0 {
 			hs = []config.Scheme{config.ConvOptPG, config.PowerPunchPG}
 		}
 		for _, s := range hs {
-			h, err := experiments.RunHeatmap(s, fid, seed)
+			h, err := experiments.RunHeatmap(s, synthetic)
 			if err != nil {
 				return "", err
 			}
@@ -237,7 +233,7 @@ func run(id string, fid experiments.Fidelity, seed int64, benches []string, hops
 		}
 		return out, nil
 	case "scale":
-		pts, err := experiments.RunScalability(fid, seed)
+		pts, err := experiments.RunScalability(synthetic)
 		if err != nil {
 			return "", err
 		}
@@ -245,7 +241,7 @@ func run(id string, fid experiments.Fidelity, seed int64, benches []string, hops
 	case "area":
 		return experiments.FormatArea(), nil
 	case "ablation":
-		pts, err := experiments.RunAblation(fid, seed)
+		pts, err := experiments.RunAblation(synthetic)
 		if err != nil {
 			return "", err
 		}

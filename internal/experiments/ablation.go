@@ -23,9 +23,9 @@ type AblationPoint struct {
 // punch hop-count (2/3/4), the punch idle timeout (2 vs ConvOpt's 4),
 // and strict single-signal-per-emitter encoding (the Table 1 hardware
 // exactly) vs the idealized lossless merge.
-func RunAblation(f Fidelity, seed int64) ([]AblationPoint, error) {
-	if seed == 0 {
-		seed = 1
+func RunAblation(o SyntheticOptions) ([]AblationPoint, error) {
+	if o.Seed == 0 {
+		o.Seed = 1
 	}
 	type variant struct {
 		label string
@@ -46,15 +46,15 @@ func RunAblation(f Fidelity, seed int64) ([]AblationPoint, error) {
 	var out []AblationPoint
 	for _, v := range variants {
 		cfg := config.Default().WithScheme(config.PowerPunchPG)
-		cfg.WarmupCycles = f.warmupCycles()
-		cfg.MeasureCycles = f.measureCycles()
+		cfg.WarmupCycles = o.Fidelity.warmupCycles()
+		cfg.MeasureCycles = o.Fidelity.measureCycles()
 		v.mut(&cfg)
-		cfg = applyOverrides(cfg)
+		cfg = o.Overrides.apply(cfg)
 		net, err := network.New(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation %s: %w", v.label, err)
 		}
-		drv := traffic.NewSynthetic(traffic.UniformRandom{}, parsec.AverageLoadFlitsPerNodeCycle, seed)
+		drv := traffic.NewSynthetic(traffic.UniformRandom{}, parsec.AverageLoadFlitsPerNodeCycle, o.Seed)
 		res := net.Run(drv)
 		out = append(out, AblationPoint{
 			Label:       v.label,

@@ -7,8 +7,8 @@ import (
 )
 
 // TestAllDriversCleanUnderChecks runs every experiment driver with the
-// cycle-level invariant engine enabled (EnableChecks, the CLI's -checks
-// flag). A violation panics with a replayable artifact, so a green run
+// cycle-level invariant engine enabled (Overrides.Checks, the CLI's
+// -checks flag). A violation panics with a replayable artifact, so a green run
 // here certifies that all four schemes of the paper's evaluation —
 // plus the Plain-PG ablation baseline — satisfy every invariant across
 // the full driver matrix: full-system workloads, synthetic load sweeps,
@@ -17,12 +17,13 @@ import (
 // figure exercises is covered, including in -short mode: this test is
 // part of the tier-2 correctness gate (see Makefile `check`).
 func TestAllDriversCleanUnderChecks(t *testing.T) {
-	EnableChecks = true
-	defer func() { EnableChecks = false }()
+	t.Parallel()
+	checks := Overrides{Checks: true}
+	opts := SyntheticOptions{Fidelity: Quick, Seed: 2, Overrides: checks}
 
 	t.Run("fullsystem", func(t *testing.T) {
 		if _, err := RunFullSystem(FullSystemOptions{
-			Fidelity: Quick, Benchmarks: []string{"swaptions"}, Seed: 2,
+			Fidelity: Quick, Benchmarks: []string{"swaptions"}, Seed: 2, Overrides: checks,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -33,10 +34,11 @@ func TestAllDriversCleanUnderChecks(t *testing.T) {
 			patterns, rates = []string{"uniform"}, []float64{0.02}
 		}
 		if _, err := RunLoadSweep(LoadSweepOptions{
-			Fidelity: Quick,
-			Patterns: patterns,
-			Rates:    rates,
-			Schemes:  config.Schemes,
+			Fidelity:  Quick,
+			Patterns:  patterns,
+			Rates:     rates,
+			Schemes:   config.Schemes,
+			Overrides: checks,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +49,7 @@ func TestAllDriversCleanUnderChecks(t *testing.T) {
 			// coverage is duplicated by loadsweep+scalability+ablation.
 			t.Skip("sensitivity matrix covered by the full run")
 		}
-		if _, err := RunSensitivity(SensitivityOptions{Fidelity: Quick, Seed: 2, PunchHops: 3}); err != nil {
+		if _, err := RunSensitivity(SensitivityOptions{Fidelity: Quick, Seed: 2, PunchHops: 3, Overrides: checks}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -57,18 +59,18 @@ func TestAllDriversCleanUnderChecks(t *testing.T) {
 			// checked on 8x8 above.
 			t.Skip("race build: scalability covered by the full run")
 		}
-		if _, err := RunScalability(Quick, 2); err != nil {
+		if _, err := RunScalability(opts); err != nil {
 			t.Fatal(err)
 		}
 	})
 	t.Run("ablation", func(t *testing.T) {
-		if _, err := RunAblation(Quick, 2); err != nil {
+		if _, err := RunAblation(opts); err != nil {
 			t.Fatal(err)
 		}
 	})
 	t.Run("heatmap", func(t *testing.T) {
 		for _, s := range []config.Scheme{config.ConvOptPG, config.PowerPunchPG} {
-			if _, err := RunHeatmap(s, Quick, 2); err != nil {
+			if _, err := RunHeatmap(s, opts); err != nil {
 				t.Fatal(err)
 			}
 		}

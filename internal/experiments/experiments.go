@@ -22,80 +22,49 @@ import (
 	"powerpunch/internal/power"
 )
 
-// EnableChecks turns the cycle-level invariant engine (config.Checks)
-// on for every run launched by the experiment drivers. Off by default:
-// the engine costs simulation throughput, so it is opted into from the
-// CLI (`powerpunch -checks`) and the test suite rather than paid on
-// every figure regeneration.
-var EnableChecks bool
-
-// fabric is the package-wide topology override set by SetFabric. The
-// zero value means "paper default" (the 8x8 mesh from config.Default),
-// so drivers are unaffected until the CLI asks for another fabric.
-var fabric struct {
-	set           bool
-	topology      string
-	width, height int
+// Overrides are the run-wide settings layered over every run a
+// simulation-backed driver launches (the CLI's -checks, -fulltick,
+// -topo/-width/-height and -power-preset). The zero value changes
+// nothing: each driver runs the paper's configuration.
+type Overrides struct {
+	// Checks turns the cycle-level invariant engine (config.Checks) on.
+	// The engine costs simulation throughput, so it is opted into
+	// rather than paid on every figure regeneration.
+	Checks bool
+	// FullTick runs on the full-walk scheduler. Results are
+	// bit-identical to the active-set scheduler either way; the field
+	// exists so sweeps can cross-check the two end to end.
+	FullTick bool
+	// Topology, Width and Height replace the fabric when any of them is
+	// set. The analytic paper artifacts (Table 1, Table 2, the area
+	// model) stay on the mesh they describe.
+	Topology      string
+	Width, Height int
+	// PowerPreset replaces the power-model calibration when non-empty.
+	PowerPreset string
 }
 
-// SetFabric selects the fabric every simulation-backed experiment
-// driver runs on (`powerpunch -topo torus -width 4 -height 4`). The
-// combination is validated against the paper's default parameters up
-// front so a bad topology fails once, loudly, instead of once per
-// (pattern, rate, scheme) job. The analytic paper artifacts — Table 1,
-// Table 2, the area model — stay on the mesh they describe.
-func SetFabric(topology string, width, height int) error {
-	cfg := config.Default()
-	cfg.Topology, cfg.Width, cfg.Height = topology, width, height
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	fabric.set = true
-	fabric.topology, fabric.width, fabric.height = topology, width, height
-	return nil
+// fabric reports whether o replaces the fabric.
+func (o Overrides) fabric() bool { return o.Topology != "" || o.Width != 0 || o.Height != 0 }
+
+// Validate checks o against the paper's default parameters, so a bad
+// topology or an unknown power preset (a *config.UnknownPowerPresetError)
+// fails once, up front, instead of once per job.
+func (o Overrides) Validate() error {
+	cfg := o.apply(config.Default())
+	return cfg.Validate()
 }
 
-// FullTick switches every run launched by the experiment drivers onto
-// the full-walk scheduler (`powerpunch -fulltick`). Results are
-// bit-identical to the default active-set scheduler either way; the
-// flag exists so sweeps can cross-check the two schedulers end to end.
-var FullTick bool
-
-// powerPreset is the package-wide power-calibration override set by
-// SetPowerPreset. Empty keeps each run's configured preset (the paper
-// calibration by default).
-var powerPreset string
-
-// SetPowerPreset selects the power-model calibration every
-// simulation-backed experiment driver runs with (`powerpunch
-// -power-preset dsent-22nm`). Unknown names fail up front with
-// config's typed error, once and loudly, instead of once per job.
-// Note the golden suite's committed numbers are captured against the
-// default paper-hpca15 preset; regenerating figures under another
-// calibration is exploratory by design.
-func SetPowerPreset(name string) error {
-	if _, ok := power.PresetByName(name); !ok {
-		return &config.UnknownPowerPresetError{Name: name, Known: power.Presets()}
+// apply stamps o onto one run's configuration; every driver funnels
+// its config through here.
+func (o Overrides) apply(cfg config.Config) config.Config {
+	cfg.Checks = cfg.Checks || o.Checks
+	cfg.FullTick = cfg.FullTick || o.FullTick
+	if o.fabric() {
+		cfg.Topology, cfg.Width, cfg.Height = o.Topology, o.Width, o.Height
 	}
-	powerPreset = name
-	return nil
-}
-
-// applyOverrides stamps the package-wide check and fabric settings onto
-// one run's configuration; every driver funnels its config through here.
-func applyOverrides(cfg config.Config) config.Config {
-	if EnableChecks {
-		cfg.Checks = true
-	}
-	if FullTick {
-		cfg.FullTick = true
-	}
-	if fabric.set {
-		cfg.Topology = fabric.topology
-		cfg.Width, cfg.Height = fabric.width, fabric.height
-	}
-	if powerPreset != "" {
-		cfg.PowerPreset = powerPreset
+	if o.PowerPreset != "" {
+		cfg.PowerPreset = o.PowerPreset
 	}
 	return cfg
 }
@@ -133,6 +102,15 @@ func (f Fidelity) warmupCycles() int64 {
 		return 8_000
 	}
 	return 2_000
+}
+
+// SyntheticOptions parameterizes the synthetic-traffic drivers that
+// need only a fidelity and a seed: RunAblation, RunHeatmap and
+// RunScalability.
+type SyntheticOptions struct {
+	Fidelity  Fidelity
+	Seed      int64
+	Overrides Overrides
 }
 
 // SchemeMetrics are the per-scheme measurements every full-system

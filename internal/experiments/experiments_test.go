@@ -123,8 +123,19 @@ func TestLoadSweepSmoke(t *testing.T) {
 	}
 }
 
+// TestScalabilityRejectsFabricOverride: the study sets its own mesh
+// sizes, so a fabric override would print one fabric's numbers under
+// three labels; it must be refused before any run starts.
+func TestScalabilityRejectsFabricOverride(t *testing.T) {
+	t.Parallel()
+	ov := Overrides{Topology: "mesh", Width: 4, Height: 4}
+	if _, err := RunScalability(SyntheticOptions{Fidelity: Quick, Overrides: ov}); err == nil {
+		t.Fatal("RunScalability accepted a fabric override")
+	}
+}
+
 func TestScalabilitySmoke(t *testing.T) {
-	pts, err := RunScalability(Quick, 3)
+	pts, err := RunScalability(SyntheticOptions{Fidelity: Quick, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +220,7 @@ func TestCSVWriters(t *testing.T) {
 }
 
 func TestHeatmapShowsSpatialGating(t *testing.T) {
-	h, err := RunHeatmap(config.PowerPunchPG, Quick, 1)
+	h, err := RunHeatmap(config.PowerPunchPG, SyntheticOptions{Fidelity: Quick, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +240,7 @@ func TestHeatmapShowsSpatialGating(t *testing.T) {
 }
 
 func TestAblationIncludesBaselines(t *testing.T) {
-	pts, err := RunAblation(Quick, 1)
+	pts, err := RunAblation(SyntheticOptions{Fidelity: Quick, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

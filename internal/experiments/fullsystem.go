@@ -40,7 +40,8 @@ type FullSystemOptions struct {
 	// wakeup-split fields of SchemeMetrics (PunchWakeups, ConvWakeups,
 	// HiddenFrac — the paper's §6 blocking analysis). Off by default:
 	// probes cost a per-event fan-out on the hot path.
-	Observe bool
+	Observe   bool
+	Overrides Overrides
 }
 
 func (o *FullSystemOptions) defaults() {
@@ -76,7 +77,7 @@ func RunFullSystem(o FullSystemOptions) ([]BenchResult, error) {
 			errs[i] = err
 			return
 		}
-		cfg := applyOverrides(baseConfig().WithScheme(s))
+		cfg := o.Overrides.apply(baseConfig().WithScheme(s))
 		net, err := network.New(cfg)
 		if err != nil {
 			errs[i] = fmt.Errorf("experiments: %s/%v: %w", bench, s, err)

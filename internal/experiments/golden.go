@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"powerpunch/internal/config"
+	"powerpunch/internal/power"
 )
 
 // The committed golden baseline for the paper-§6 full-system suite:
@@ -137,25 +138,36 @@ func (g *GoldenFile) Marshal() ([]byte, error) {
 }
 
 // Options translates the golden recipe into run options. Observe is
-// always on: the wakeup split is part of the baseline.
-func (g *GoldenFile) Options() FullSystemOptions {
+// always on: the wakeup split is part of the baseline. Of ov, only
+// Checks and FullTick are admitted, since neither changes a result.
+// The baseline is recorded on one exact fabric and power calibration,
+// so any other fabric or preset is rejected rather than compared, as a
+// wall of deviations, against numbers from a different network.
+func (g *GoldenFile) Options(ov Overrides) (FullSystemOptions, error) {
+	if ov.fabric() && (ov.Topology != g.Topology || ov.Width != g.Width || ov.Height != g.Height) {
+		return FullSystemOptions{}, fmt.Errorf("experiments: golden baseline is recorded on %s %dx%d; fabric overrides are incompatible with the golden experiment",
+			g.Topology, g.Width, g.Height)
+	}
+	if ov.PowerPreset != "" && ov.PowerPreset != power.DefaultPreset {
+		return FullSystemOptions{}, fmt.Errorf("experiments: golden baseline is recorded with the %s power preset; power-preset overrides are incompatible with the golden experiment",
+			power.DefaultPreset)
+	}
 	return FullSystemOptions{
 		Seed:         g.Seed,
 		InstrPerCore: g.InstrPerCore,
 		Observe:      true,
-	}
+		Overrides:    Overrides{Checks: ov.Checks, FullTick: ov.FullTick},
+	}, nil
 }
 
-// RunGolden executes the golden recipe and returns the fresh results.
-// The baseline is recorded on one exact fabric, so a CLI fabric
-// override (-topo/-width/-height) is rejected rather than silently
-// compared against numbers from a different network.
+// RunGolden executes the golden recipe exactly as recorded and returns
+// the fresh results.
 func RunGolden(g *GoldenFile) ([]BenchResult, error) {
-	if fabric.set && (fabric.topology != g.Topology || fabric.width != g.Width || fabric.height != g.Height) {
-		return nil, fmt.Errorf("experiments: golden baseline is recorded on %s %dx%d; fabric overrides are incompatible with the golden experiment",
-			g.Topology, g.Width, g.Height)
+	o, err := g.Options(Overrides{})
+	if err != nil {
+		return nil, err
 	}
-	return RunFullSystem(g.Options())
+	return RunFullSystem(o)
 }
 
 // Capture replaces g's stored cells with the measured results.

@@ -82,15 +82,35 @@ func TestGoldenReadmeTable(t *testing.T) {
 }
 
 // TestGoldenRejectsFabricOverride pins the guard: the baseline is
-// recorded on one exact fabric, so comparing it against numbers from
-// another network must fail loudly instead of as a wall of deviations.
+// recorded on one exact fabric and power calibration, so comparing it
+// against numbers from another network or preset must fail loudly
+// instead of as a wall of deviations. Checks and FullTick, which change
+// no result, pass through; the recorded fabric and preset are admitted.
 func TestGoldenRejectsFabricOverride(t *testing.T) {
-	if err := SetFabric("torus", 4, 4); err != nil {
-		t.Fatal(err)
-	}
-	defer func() { fabric.set = false }()
+	t.Parallel()
 	g := DefaultGolden()
-	if _, err := RunGolden(g); err == nil {
-		t.Fatal("RunGolden accepted a fabric override that contradicts the baseline")
+	for _, tc := range []struct {
+		name string
+		ov   Overrides
+		ok   bool
+	}{
+		{"torus", Overrides{Topology: "torus", Width: 4, Height: 4}, false},
+		{"small mesh", Overrides{Topology: "mesh", Width: 4, Height: 4}, false},
+		{"preset", Overrides{PowerPreset: "dsent-22nm"}, false},
+		{"recorded", Overrides{Checks: true, FullTick: true, Topology: "mesh", Width: 8, Height: 8, PowerPreset: "paper-hpca15"}, true},
+	} {
+		o, err := g.Options(tc.ov)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("%s: golden accepted an override that contradicts the baseline", tc.name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if want := (Overrides{Checks: true, FullTick: true}); o.Overrides != want {
+			t.Errorf("%s: golden runs with overrides %+v, want %+v", tc.name, o.Overrides, want)
+		}
 	}
 }

@@ -24,11 +24,11 @@ type HeatmapResult struct {
 // Power Punch keeps exactly the used paths awake while the rest of the
 // chip sleeps — the spatial intuition behind the paper's energy
 // results.
-func RunHeatmap(scheme config.Scheme, f Fidelity, seed int64) (*HeatmapResult, error) {
+func RunHeatmap(scheme config.Scheme, o SyntheticOptions) (*HeatmapResult, error) {
 	cfg := config.Default().WithScheme(scheme)
-	cfg.WarmupCycles = f.warmupCycles()
-	cfg.MeasureCycles = f.measureCycles()
-	cfg = applyOverrides(cfg)
+	cfg.WarmupCycles = o.Fidelity.warmupCycles()
+	cfg.MeasureCycles = o.Fidelity.measureCycles()
+	cfg = o.Overrides.apply(cfg)
 	net, err := network.New(cfg)
 	if err != nil {
 		return nil, err
@@ -40,7 +40,7 @@ func RunHeatmap(scheme config.Scheme, f Fidelity, seed int64) (*HeatmapResult, e
 		hotC.Y = cfg.Height - 1
 	}
 	hot := net.M.NodeAt(hotC)
-	drv := traffic.NewSynthetic(traffic.Hotspot{Node: hot, Frac: 0.7}, 0.02, seed)
+	drv := traffic.NewSynthetic(traffic.Hotspot{Node: hot, Frac: 0.7}, 0.02, o.Seed)
 
 	res := &HeatmapResult{Scheme: scheme, Width: cfg.Width, Height: cfg.Height,
 		GatedFrac: make([]float64, net.M.NumNodes())}

@@ -36,11 +36,12 @@ type LoadPoint struct {
 
 // LoadSweepOptions parameterizes Figure 12.
 type LoadSweepOptions struct {
-	Fidelity Fidelity
-	Patterns []string  // defaults to the paper's three
-	Rates    []float64 // defaults per pattern (to saturation)
-	Schemes  []config.Scheme
-	Seed     int64
+	Fidelity  Fidelity
+	Patterns  []string  // defaults to the paper's three
+	Rates     []float64 // defaults per pattern (to saturation)
+	Schemes   []config.Scheme
+	Seed      int64
+	Overrides Overrides
 }
 
 func (o *LoadSweepOptions) defaults() {
@@ -110,7 +111,7 @@ func RunLoadSweep(o LoadSweepOptions) ([]LoadPoint, error) {
 		cfg := config.Default().WithScheme(j.scheme)
 		cfg.WarmupCycles = o.Fidelity.warmupCycles()
 		cfg.MeasureCycles = o.Fidelity.measureCycles()
-		cfg = applyOverrides(cfg)
+		cfg = o.Overrides.apply(cfg)
 		net, err := network.New(cfg)
 		if err != nil {
 			errs[i] = err

@@ -29,6 +29,7 @@ type SensitivityOptions struct {
 	// 3-stage case; pass 4 to reproduce the "becomes negligible with a
 	// 4-hop punch" remark).
 	PunchHops int
+	Overrides Overrides
 }
 
 // RunSensitivity sweeps wakeup latency {6,8,10} on the 3-stage router and
@@ -60,7 +61,7 @@ func RunSensitivity(o SensitivityOptions) ([]SensitivityPoint, error) {
 			cfg.PunchHops = o.PunchHops
 			cfg.WarmupCycles = o.Fidelity.warmupCycles()
 			cfg.MeasureCycles = o.Fidelity.measureCycles()
-			cfg = applyOverrides(cfg)
+			cfg = o.Overrides.apply(cfg)
 			net, err := network.New(cfg)
 			if err != nil {
 				return nil, err
@@ -110,10 +111,15 @@ type ScalabilityPoint struct {
 
 // RunScalability measures average latency at 0.01 flits/node/cycle for
 // 4x4, 8x8, and 16x16 meshes (paper: PowerPunch-PG reduces latency vs
-// ConvOpt-PG by 43.4%, 54.9%, 69.1%).
-func RunScalability(f Fidelity, seed int64) ([]ScalabilityPoint, error) {
-	if seed == 0 {
-		seed = 1
+// ConvOpt-PG by 43.4%, 54.9%, 69.1%). The study sets its own mesh
+// sizes, so a fabric override is rejected rather than run three times
+// under three labels.
+func RunScalability(o SyntheticOptions) ([]ScalabilityPoint, error) {
+	if o.Overrides.fabric() {
+		return nil, fmt.Errorf("experiments: the scalability study runs its own 4x4, 8x8 and 16x16 meshes; fabric overrides are incompatible with it")
+	}
+	if o.Seed == 0 {
+		o.Seed = 1
 	}
 	var out []ScalabilityPoint
 	for _, w := range []int{4, 8, 16} {
@@ -121,14 +127,14 @@ func RunScalability(f Fidelity, seed int64) ([]ScalabilityPoint, error) {
 		for _, s := range []config.Scheme{config.NoPG, config.ConvOptPG, config.PowerPunchPG} {
 			cfg := config.Default().WithScheme(s)
 			cfg.Width, cfg.Height = w, w
-			cfg.WarmupCycles = f.warmupCycles()
-			cfg.MeasureCycles = f.measureCycles()
-			cfg = applyOverrides(cfg)
+			cfg.WarmupCycles = o.Fidelity.warmupCycles()
+			cfg.MeasureCycles = o.Fidelity.measureCycles()
+			cfg = o.Overrides.apply(cfg)
 			net, err := network.New(cfg)
 			if err != nil {
 				return nil, err
 			}
-			drv := traffic.NewSynthetic(traffic.UniformRandom{}, 0.01, seed)
+			drv := traffic.NewSynthetic(traffic.UniformRandom{}, 0.01, o.Seed)
 			drv.DataFrac = 1.0 // the paper's synthetic runs use 5-flit packets
 			res := net.Run(drv)
 			switch s {

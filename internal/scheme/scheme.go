@@ -60,8 +60,6 @@ type Policy interface {
 type Accountant interface {
 	// LinkHop charges one link traversal's dynamic energy.
 	LinkHop()
-	// Traverse charges one crossbar traversal's dynamic energy.
-	Traverse()
 }
 
 // BypassEnergy is implemented by bypass policies that charge the
